@@ -11,7 +11,7 @@
 //! exercise the attack-robustness tables on every push without the
 //! full-size run times; the tables are printed, not asserted.
 //!
-//! Experiment ids follow DESIGN.md §5:
+//! Experiment ids:
 //!   e1  capacity & imperceptibility (demo part 1)
 //!   e2  alteration attack (demo attack A)
 //!   e3  reduction attack (demo attack B)

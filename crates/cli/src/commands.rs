@@ -5,6 +5,7 @@ use crate::obs::Obs;
 use crate::profile::{resolve, PROFILE_NAMES};
 use crate::queryfile;
 use std::fs;
+use std::io::{BufReader, BufWriter};
 use wmx_attacks::redundancy::UnifyStrategy;
 use wmx_attacks::{AlterationAttack, ReductionAttack, RedundancyRemovalAttack, ShuffleAttack};
 use wmx_core::{
@@ -13,6 +14,7 @@ use wmx_core::{
 };
 use wmx_crypto::SecretKey;
 use wmx_data::{jobs, library, publications};
+use wmx_stream::DetectMode;
 use wmx_telemetry::{span, AuditEvent};
 use wmx_xml::{parse, to_pretty_string};
 
@@ -64,9 +66,10 @@ COMMANDS
             --profile P --in FILE --key K --message M [--bits N]
             [--gamma G] [--redundancy R] [--workers W]
             --out FILE --queries FILE
-            single-pass streaming embed: O(record) memory at --workers 1,
-            parallel record chunking at --workers > 1; output bytes are
-            identical to the DOM engine's compact serialization
+            single-pass streaming embed in bounded memory at every
+            --workers value (W > 1 processes record batches on W
+            threads); output bytes are identical to the DOM engine's
+            compact serialization
   stream-detect
             --profile P --in FILE --key K --message M [--bits N]
             [--gamma G] [--redundancy R] [--threshold T] [--workers W]
@@ -467,40 +470,19 @@ fn cmd_stream_embed(args: &Args) -> Result<i32, String> {
     };
 
     let embed_span = span("stream_embed");
-    let report = if workers > 1 {
-        let text =
-            fs::read_to_string(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-        let (marked, report) = wmx_stream::par_embed(&text, workers, ctx, &key, &watermark)
-            .map_err(|e| format!("streaming embed failed: {e}"))?;
-        write_file(out_path, &marked)?;
-        report
-    } else {
-        // Stream into a sibling temp file and rename on success, so a
-        // failed run never clobbers an existing output file.
-        let tmp_path = format!("{out_path}.tmp");
-        let input = fs::File::open(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-        let output =
-            fs::File::create(&tmp_path).map_err(|e| format!("cannot write {tmp_path}: {e}"))?;
-        let result = wmx_stream::stream_embed(
-            std::io::BufReader::new(input),
-            std::io::BufWriter::new(output),
-            ctx,
-            &key,
-            &watermark,
-        );
-        match result {
-            Ok(report) => {
-                fs::rename(&tmp_path, out_path)
-                    .map_err(|e| format!("cannot move {tmp_path} to {out_path}: {e}"))?;
-                report
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp_path);
-                return Err(format!("streaming embed failed: {e}"));
-            }
-        }
-    };
-
+    // Stream into a sibling temp file and rename on success, so a failed
+    // run never clobbers an existing output file.
+    let tmp_path = format!("{out_path}.tmp");
+    let input = fs::File::open(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
+    let output =
+        fs::File::create(&tmp_path).map_err(|e| format!("cannot write {tmp_path}: {e}"))?;
+    let (input, output) = (BufReader::new(input), BufWriter::new(output));
+    let report = wmx_stream::embed(input, output, workers, ctx, &key, &watermark).map_err(|e| {
+        let _ = fs::remove_file(&tmp_path);
+        format!("streaming embed failed: {e}")
+    })?;
+    fs::rename(&tmp_path, out_path)
+        .map_err(|e| format!("cannot move {tmp_path} to {out_path}: {e}"))?;
     drop(embed_span);
 
     write_file(queries_path, &queryfile::to_string(&report.report.queries))?;
@@ -558,25 +540,14 @@ fn cmd_stream_detect(args: &Args) -> Result<i32, String> {
     };
 
     let detect_span = span("stream_detect");
-    let detection = if workers > 1 {
-        let text =
-            fs::read_to_string(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-        if mode == ForensicsMode::Off {
-            wmx_stream::par_detect(&text, workers, ctx, &key, &watermark, threshold)
-        } else {
-            wmx_stream::par_detect_forensic(&text, workers, ctx, &key, &watermark, threshold)
-        }
-        .map_err(|e| format!("streaming detect failed: {e}"))?
-    } else {
-        let input = fs::File::open(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-        let reader = std::io::BufReader::new(input);
-        if mode == ForensicsMode::Off {
-            wmx_stream::stream_detect(reader, ctx, &key, &watermark, threshold)
-        } else {
-            wmx_stream::stream_detect_forensic(reader, ctx, &key, &watermark, threshold)
-        }
-        .map_err(|e| format!("streaming detect failed: {e}"))?
+    let input = fs::File::open(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
+    let input = BufReader::new(input);
+    let on_damage = match mode {
+        ForensicsMode::Off => DetectMode::Strict,
+        ForensicsMode::Summary | ForensicsMode::Json => DetectMode::Forensic,
     };
+    let detection = wmx_stream::detect(input, workers, on_damage, ctx, &key, &watermark, threshold)
+        .map_err(|e| format!("streaming detect failed: {e}"))?;
     drop(detect_span);
 
     let report = &detection.report;
@@ -1053,6 +1024,33 @@ mod tests {
             fs::read_to_string(&marked1).unwrap(),
             fs::read_to_string(&marked4).unwrap()
         );
+        // A failing parallel embed streams too: it never clobbers an
+        // existing output file.
+        let truncated = tmp("struncated.xml");
+        let full = fs::read_to_string(&db).unwrap();
+        fs::write(&truncated, &full.as_bytes()[..full.len() * 2 / 3]).unwrap();
+        let before = fs::read(&marked4).unwrap();
+        let err = run(&args(&[
+            "stream-embed",
+            "--profile",
+            "publications",
+            "--in",
+            &truncated,
+            "--key",
+            "stream-secret",
+            "--message",
+            "© stream",
+            "--workers",
+            "4",
+            "--out",
+            &marked4,
+            "--queries",
+            &tmp("sq4t.wmxq"),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("streaming embed failed"), "{err}");
+        assert_eq!(fs::read(&marked4).unwrap(), before);
+        assert!(!std::path::Path::new(&format!("{marked4}.tmp")).exists());
         // Streaming detection needs no query file.
         assert_eq!(
             run(&args(&[

@@ -8,7 +8,6 @@
 //! threshold τ. A sign-test false-positive probability quantifies how
 //! likely the observed agreement would be for an unrelated document.
 
-use crate::config::EncoderConfig;
 use crate::encoder::StoredQuery;
 use crate::nodectx::{DomNodes, UnitMarker};
 use crate::wm::Watermark;
@@ -274,28 +273,6 @@ pub fn report_from_votes(
     }
 }
 
-/// Convenience: detect with the encoder's γ-independent defaults
-/// (τ = 0.85, no rewriting). `config` is accepted for symmetry with
-/// [`crate::encoder::embed`] but only the threshold policy lives here.
-pub fn detect_simple(
-    doc: &Document,
-    queries: &[StoredQuery],
-    key: &SecretKey,
-    watermark: &Watermark,
-    _config: &EncoderConfig,
-) -> DetectionReport {
-    detect(
-        doc,
-        &DetectionInput {
-            queries,
-            key: key.clone(),
-            watermark: watermark.clone(),
-            threshold: 0.85,
-            mapping: None,
-        },
-    )
-}
-
 /// Resolves a stored query: rewrite through the mapping when present
 /// (logical recompile first, concrete pattern rewrite as fallback),
 /// otherwise compile the stored text.
@@ -512,13 +489,6 @@ mod tests {
         assert_eq!(BitVotes { ones: 1, zeros: 3 }.majority(), Some(false));
         assert_eq!(BitVotes { ones: 2, zeros: 2 }.majority(), None);
         assert_eq!(BitVotes::default().majority(), None);
-    }
-
-    #[test]
-    fn detect_simple_wrapper() {
-        let (d, report, wm, key) = embed_and_report(200, 2, "k", "101101");
-        let detection = detect_simple(&d, &report.queries, &key, &wm, &config(2));
-        assert!(detection.detected);
     }
 
     #[test]

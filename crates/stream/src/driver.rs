@@ -1,39 +1,323 @@
-//! Sequential single-pass drivers: embed to a writer, detect to a vote
-//! tally, both with O(depth + one record) resident nodes.
+//! The streaming driver: one reader loop behind every entry point.
+//!
+//! The calling thread reads the prolog up to the root element, builds
+//! the [`RecordEngine`], then reads records into a [`Batch`]. With one
+//! worker each record is processed as soon as it is read, so a pass
+//! holds one record and one reused output buffer at a time. With
+//! `N > 1` workers a batch fills up to `N ×` [`BATCH_BYTES_PER_WORKER`]
+//! content bytes, fans out as `N` contiguous chunks over scoped threads
+//! and is emitted in record order before the next batch is read. Memory
+//! is bounded by the batch, the largest record and one read chunk.
+//!
+//! Embed and detect differ only in the per-record closure and in the
+//! [`Partial`] accumulator it fills. Strict and forensic mode differ
+//! only in what a failure does: strict stops at the first error in
+//! stream order (a record error, or a reader error once the pending
+//! batch is flushed); forensic skips damaged records and turns a reader
+//! error after the root into a partial verdict.
 
 use crate::engine::{open_tag, RecordEngine};
 use crate::metrics::stream_metrics;
+use crate::parallel::{fan_out, Batch, Worker, BATCH_BYTES_PER_WORKER, MAX_WORKERS};
 use crate::reader::{Misc, TopEvent, TopLevelReader};
 use crate::report::{
-    ChunkTiming, PartialDetect, PartialEmbed, StreamDetectReport, StreamEmbedReport,
+    ChunkTiming, Partial, PartialDetect, PartialEmbed, StreamDetectReport, StreamEmbedReport,
+    StreamFault,
 };
 use crate::{StreamContext, StreamError};
 use std::io::{BufRead, Write};
-use std::time::Instant;
 use wmx_core::{Watermark, WmError};
 use wmx_crypto::SecretKey;
 use wmx_xml::escape::escape_text;
-use wmx_xml::serialize::{cdata_text, comment_text, pi_text, BufferPool};
+use wmx_xml::serialize::{cdata_text, comment_text, pi_text};
+use DetectMode::{Forensic, Strict};
+
+/// What a failure does to a pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DetectMode {
+    /// The first error in stream order fails the pass.
+    Strict,
+    /// Records whose own bytes fail to parse are skipped, and a stream
+    /// that breaks after the root element yields a partial verdict with
+    /// a [`StreamFault`]. Errors before the root still fail the pass.
+    Forensic,
+}
+
+/// Embeds `watermark` while streaming `input` to `output` on `workers`
+/// threads (clamped to `1..=256`). The output bytes equal
+/// `wmx_xml::to_string(&dom_embedded)` at every worker count.
+pub fn embed<R: BufRead, W: Write>(
+    input: R,
+    output: W,
+    workers: usize,
+    ctx: StreamContext<'_>,
+    key: &SecretKey,
+    watermark: &Watermark,
+) -> Result<StreamEmbedReport, StreamError> {
+    let run = drive(
+        input,
+        output,
+        workers,
+        Strict,
+        ctx,
+        key,
+        watermark,
+        PartialEmbed::default,
+        |engine, index, raw, partial, out| engine.embed_record_into(index, raw, partial, out),
+    )?;
+    Ok(StreamEmbedReport {
+        chunk_timings: run.timings,
+        ..run.partial.finalize()
+    })
+}
+
+/// Detects `watermark` in one pass over `input` on `workers` threads
+/// (clamped to `1..=256`) without a safeguarded query file: units are
+/// re-enumerated per record and the keyed PRF re-derives which ones were
+/// selected. The report is the same at every worker count.
+pub fn detect<R: BufRead>(
+    input: R,
+    workers: usize,
+    mode: DetectMode,
+    ctx: StreamContext<'_>,
+    key: &SecretKey,
+    watermark: &Watermark,
+    threshold: f64,
+) -> Result<StreamDetectReport, StreamError> {
+    let width = watermark.len() * ctx.config.redundancy.max(1) as usize;
+    let run = drive(
+        input,
+        std::io::sink(),
+        workers,
+        mode,
+        ctx,
+        key,
+        watermark,
+        || PartialDetect::new(width, mode == Forensic),
+        |engine, _, raw, partial, _| engine.detect_record(raw, partial),
+    )?;
+    stream_metrics().votes.add(run.partial.votes_cast as u64);
+    Ok(StreamDetectReport {
+        chunk_timings: run.timings,
+        fault: run.fault,
+        ..run
+            .partial
+            .finalize(watermark, threshold, run.engine.table())
+    })
+}
+
+/// [`embed`] on the calling thread.
+pub fn stream_embed<R: BufRead, W: Write>(
+    input: R,
+    output: W,
+    ctx: StreamContext<'_>,
+    key: &SecretKey,
+    watermark: &Watermark,
+) -> Result<StreamEmbedReport, StreamError> {
+    embed(input, output, 1, ctx, key, watermark)
+}
+
+/// [`Strict`] [`detect`] on the calling thread.
+pub fn stream_detect<R: BufRead>(
+    input: R,
+    ctx: StreamContext<'_>,
+    key: &SecretKey,
+    watermark: &Watermark,
+    threshold: f64,
+) -> Result<StreamDetectReport, StreamError> {
+    detect(input, 1, Strict, ctx, key, watermark, threshold)
+}
+
+/// [`Forensic`] [`detect`] on the calling thread.
+pub fn stream_detect_forensic<R: BufRead>(
+    input: R,
+    ctx: StreamContext<'_>,
+    key: &SecretKey,
+    watermark: &Watermark,
+    threshold: f64,
+) -> Result<StreamDetectReport, StreamError> {
+    detect(input, 1, Forensic, ctx, key, watermark, threshold)
+}
+
+/// [`embed`] of an in-memory document; returns the marked document.
+pub fn par_embed(
+    input: &str,
+    workers: usize,
+    ctx: StreamContext<'_>,
+    key: &SecretKey,
+    watermark: &Watermark,
+) -> Result<(String, StreamEmbedReport), StreamError> {
+    let mut out = Vec::with_capacity(input.len());
+    let report = embed(input.as_bytes(), &mut out, workers, ctx, key, watermark)?;
+    Ok((
+        String::from_utf8(out).expect("emitted XML is UTF-8"),
+        report,
+    ))
+}
+
+/// [`Strict`] [`detect`] over an in-memory document.
+pub fn par_detect(
+    input: &str,
+    workers: usize,
+    ctx: StreamContext<'_>,
+    key: &SecretKey,
+    watermark: &Watermark,
+    threshold: f64,
+) -> Result<StreamDetectReport, StreamError> {
+    let input = input.as_bytes();
+    detect(input, workers, Strict, ctx, key, watermark, threshold)
+}
+
+/// [`Forensic`] [`detect`] over an in-memory document.
+pub fn par_detect_forensic(
+    input: &str,
+    workers: usize,
+    ctx: StreamContext<'_>,
+    key: &SecretKey,
+    watermark: &Watermark,
+    threshold: f64,
+) -> Result<StreamDetectReport, StreamError> {
+    let input = input.as_bytes();
+    detect(input, workers, Forensic, ctx, key, watermark, threshold)
+}
+
+/// A finished pass.
+struct Run<'a, P> {
+    engine: RecordEngine<'a>,
+    /// The workers' partials, merged in worker order.
+    partial: P,
+    /// One entry per worker.
+    timings: Vec<ChunkTiming>,
+    /// The damage forensic mode salvaged a verdict around.
+    fault: Option<StreamFault>,
+}
+
+/// Runs `work` over every record of `input` and emits the results to
+/// `output` (see the module docs).
+#[allow(clippy::too_many_arguments)]
+fn drive<'a, R, W, P, F>(
+    input: R,
+    output: W,
+    workers: usize,
+    mode: DetectMode,
+    ctx: StreamContext<'a>,
+    key: &SecretKey,
+    watermark: &Watermark,
+    new_partial: impl Fn() -> P,
+    work: F,
+) -> Result<Run<'a, P>, StreamError>
+where
+    R: BufRead,
+    W: Write,
+    P: Partial,
+    F: Fn(&RecordEngine<'a>, usize, &str, &mut P, &mut String) -> Result<(), StreamError> + Sync,
+{
+    if watermark.is_empty() {
+        return Err(WmError::new("watermark must have at least one bit").into());
+    }
+    let mut reader = TopLevelReader::new(input);
+    let mut emitter = Emitter::new(output);
+    let engine = loop {
+        let event = reader.next_event()?.ok_or_else(|| {
+            StreamError::Unsupported("stream ended before a root element".to_string())
+        })?;
+        if let TopEvent::RootStart { name, attributes } = &event {
+            let engine = RecordEngine::new(ctx, key, watermark, name, attributes)?;
+            emitter.event(event)?;
+            break engine;
+        }
+        emitter.event(event)?;
+    };
+    let strict = mode == Strict;
+    let workers = workers.clamp(1, MAX_WORKERS);
+    let mut pool: Vec<Worker<P>> = (0..workers).map(|_| Worker::new(new_partial())).collect();
+    let mut skipped = Vec::new();
+    // Fans a batch out over the pool, then emits its outputs and the
+    // events between them in stream order.
+    let mut flush = |batch: &mut Batch| -> Result<(), StreamError> {
+        let first = batch.first;
+        fan_out(&batch.records, &mut pool, |offset, chunk, worker| {
+            worker.run(&engine, &work, first + offset, chunk, strict);
+        });
+        let mut events = batch.events.drain(..).peekable();
+        let mut at = 0;
+        for worker in &mut pool {
+            for result in worker.results.drain(..) {
+                while let Some((_, event)) = events.next_if(|(before, _)| *before == at) {
+                    emitter.event(event)?;
+                }
+                match result {
+                    Ok(span) => emitter.record(&worker.out[span])?,
+                    Err(e) if strict => return Err(e),
+                    Err(_) => skipped.push(first + at),
+                }
+                at += 1;
+            }
+            worker.out.clear();
+        }
+        for (_, event) in events {
+            emitter.event(event)?;
+        }
+        batch.clear();
+        Ok(())
+    };
+    let mut batch = Batch::default();
+    let error = loop {
+        match reader.next_event() {
+            Ok(Some(event)) => batch.push(event),
+            Ok(None) => break None,
+            Err(e) => break Some(e),
+        }
+        if workers == 1 || batch.bytes >= BATCH_BYTES_PER_WORKER * workers {
+            flush(&mut batch)?;
+        }
+    };
+    flush(&mut batch)?;
+    let error = match error {
+        Some(e) if strict => return Err(e),
+        error => error,
+    };
+    emitter.finish()?;
+    let metrics = stream_metrics();
+    let timings: Vec<ChunkTiming> = pool.iter().map(|w| w.timing).collect();
+    timings.iter().for_each(|t| metrics.record_chunk(t));
+    let fault = (error.is_some() || !skipped.is_empty()).then(|| StreamFault {
+        records_processed: timings.iter().map(|t| t.records).sum(),
+        truncated: matches!(error, Some(StreamError::Xml(_) | StreamError::Io(_))),
+        error: error.map_or_else(|| "damaged records skipped".to_string(), |e| e.to_string()),
+        skipped_records: skipped,
+    });
+    let mut partials = pool.into_iter().map(|w| w.partial);
+    let mut partial = partials.next().expect("a pass has at least one worker");
+    for other in partials {
+        partial.merge(other);
+        metrics.merges.inc();
+    }
+    Ok(Run {
+        engine,
+        partial,
+        timings,
+        fault,
+    })
+}
 
 /// Incremental output writer that reproduces `wmx_xml::to_string` bytes
-/// from top-level events: prolog pieces are buffered until the root
-/// opens (the serializer emits `<?xml?>`/`<!DOCTYPE>` before pre-root
-/// comments regardless of input order), and the root open tag is held
-/// back until the first visible child so an empty root collapses to
-/// `<name/>` exactly like the DOM serializer.
-pub(crate) struct Emitter<W: Write> {
+/// from top-level events: the prolog is held until the root opens (the
+/// serializer writes `<?xml?>` and `<!DOCTYPE>` before pre-root comments
+/// whatever the input order), and the root open tag is held until the
+/// first visible child so an empty root collapses to `<name/>`.
+struct Emitter<W: Write> {
     out: W,
-    xml_decl: Option<String>,
-    doctype: Option<String>,
-    prolog_misc: Vec<Misc>,
-    root_open: Option<String>,
-    root_name: String,
+    /// The rendered `<?xml?>`, `<!DOCTYPE>` and pre-root comments/PIs.
+    prolog: [String; 3],
+    root_open: String,
+    root_close: String,
     root_open_written: bool,
 }
 
+/// Renders through the DOM serializer's own helpers, so byte parity
+/// cannot drift.
 fn misc_bytes(misc: &Misc) -> String {
-    // Each arm delegates to the DOM serializer's own formatting helpers,
-    // so byte parity cannot drift.
     match misc {
         Misc::Text(t) => escape_text(t).into_owned(),
         Misc::CData(t) => cdata_text(t),
@@ -43,278 +327,67 @@ fn misc_bytes(misc: &Misc) -> String {
 }
 
 impl<W: Write> Emitter<W> {
-    pub fn new(out: W) -> Self {
+    fn new(out: W) -> Self {
         Emitter {
             out,
-            xml_decl: None,
-            doctype: None,
-            prolog_misc: Vec::new(),
-            root_open: None,
-            root_name: String::new(),
+            prolog: Default::default(),
+            root_open: String::new(),
+            root_close: String::new(),
             root_open_written: false,
         }
     }
 
     fn ensure_root_open(&mut self) -> Result<(), StreamError> {
         if !self.root_open_written {
-            let open = self.root_open.as_deref().expect("root started");
-            self.out.write_all(open.as_bytes())?;
+            self.out.write_all(self.root_open.as_bytes())?;
             self.root_open_written = true;
         }
         Ok(())
     }
 
-    /// Handles one event; `record_out` carries the processed bytes for
-    /// [`TopEvent::Record`] and must be `Some` exactly then.
-    pub fn event(&mut self, ev: &TopEvent, record_out: Option<&str>) -> Result<(), StreamError> {
-        match ev {
-            TopEvent::XmlDecl(content) => self.xml_decl = Some(content.clone()),
-            TopEvent::Doctype(content) => self.doctype = Some(content.clone()),
-            TopEvent::PrologMisc(misc) => self.prolog_misc.push(misc.clone()),
+    /// Writes one processed record's bytes.
+    fn record(&mut self, bytes: &str) -> Result<(), StreamError> {
+        self.ensure_root_open()?;
+        self.out.write_all(bytes.as_bytes())?;
+        Ok(())
+    }
+
+    /// Handles one non-record event.
+    fn event(&mut self, event: TopEvent) -> Result<(), StreamError> {
+        match event {
+            TopEvent::XmlDecl(content) => self.prolog[0] = ["<?xml ", &content, "?>"].concat(),
+            TopEvent::Doctype(content) => self.prolog[1] = ["<!DOCTYPE ", &content, ">"].concat(),
+            TopEvent::PrologMisc(misc) => self.prolog[2].push_str(&misc_bytes(&misc)),
             TopEvent::RootStart { name, attributes } => {
-                if let Some(decl) = &self.xml_decl {
-                    self.out.write_all(format!("<?xml {decl}?>").as_bytes())?;
+                for piece in &self.prolog {
+                    self.out.write_all(piece.as_bytes())?;
                 }
-                if let Some(doctype) = &self.doctype {
-                    self.out
-                        .write_all(format!("<!DOCTYPE {doctype}>").as_bytes())?;
-                }
-                for misc in &self.prolog_misc {
-                    self.out.write_all(misc_bytes(misc).as_bytes())?;
-                }
-                self.root_open = Some(open_tag(name, attributes));
-                self.root_name = name.clone();
+                self.root_open = open_tag(&name, &attributes);
+                self.root_close = ["</", &name, ">"].concat();
             }
-            TopEvent::Record(_) => {
-                self.ensure_root_open()?;
-                let bytes = record_out.expect("record output provided");
-                self.out.write_all(bytes.as_bytes())?;
-            }
+            TopEvent::Record(_) => unreachable!("records are emitted through Emitter::record"),
             TopEvent::Misc(misc) => {
                 self.ensure_root_open()?;
-                self.out.write_all(misc_bytes(misc).as_bytes())?;
+                self.out.write_all(misc_bytes(&misc).as_bytes())?;
+            }
+            TopEvent::RootEnd if self.root_open_written => {
+                self.out.write_all(self.root_close.as_bytes())?;
             }
             TopEvent::RootEnd => {
-                if self.root_open_written {
-                    self.out
-                        .write_all(format!("</{}>", self.root_name).as_bytes())?;
-                } else {
-                    // No visible children: the serializer collapses the
-                    // root to a self-closing tag.
-                    let open = self.root_open.as_deref().expect("root started");
-                    let without_gt = &open[..open.len() - 1];
-                    self.out.write_all(without_gt.as_bytes())?;
-                    self.out.write_all(b"/>")?;
-                    self.root_open_written = true;
-                }
+                // No visible children: the serializer self-closes the root.
+                let without_gt = &self.root_open[..self.root_open.len() - 1];
+                self.out.write_all(without_gt.as_bytes())?;
+                self.out.write_all(b"/>")?;
             }
-            TopEvent::TrailingMisc(misc) => {
-                self.out.write_all(misc_bytes(misc).as_bytes())?;
-            }
+            TopEvent::TrailingMisc(misc) => self.out.write_all(misc_bytes(&misc).as_bytes())?,
         }
         Ok(())
     }
 
-    pub fn finish(mut self) -> Result<(), StreamError> {
+    fn finish(mut self) -> Result<(), StreamError> {
         self.out.flush()?;
         Ok(())
     }
-}
-
-/// Embeds `watermark` while streaming `input` to `output` in a single
-/// pass. The output bytes are identical to
-/// `wmx_xml::to_string(&dom_embedded)` for the same input, key, and
-/// watermark; at most one record's nodes are materialized at a time.
-pub fn stream_embed<R: BufRead, W: Write>(
-    input: R,
-    output: W,
-    ctx: StreamContext<'_>,
-    key: &SecretKey,
-    watermark: &Watermark,
-) -> Result<StreamEmbedReport, StreamError> {
-    if watermark.is_empty() {
-        return Err(WmError::new("watermark must have at least one bit").into());
-    }
-    let mut reader = TopLevelReader::new(input);
-    let mut emitter = Emitter::new(output);
-    let mut engine: Option<RecordEngine<'_>> = None;
-    let mut partial = PartialEmbed::default();
-    // One pooled output buffer serves every record: its capacity warms
-    // up to the largest record seen and is recycled instead of re-grown.
-    let mut pool = BufferPool::new();
-    let mut record_buf = pool.acquire();
-    let start = Instant::now();
-    while let Some(ev) = reader.next_event()? {
-        match &ev {
-            TopEvent::RootStart { name, attributes } => {
-                engine = Some(RecordEngine::new(ctx, key, watermark, name, attributes)?);
-                emitter.event(&ev, None)?;
-            }
-            TopEvent::Record(raw) => {
-                record_buf.clear();
-                engine
-                    .as_ref()
-                    .expect("record implies root")
-                    .embed_record_into(raw, &mut partial, &mut record_buf)?;
-                emitter.event(&ev, Some(&record_buf))?;
-            }
-            _ => emitter.event(&ev, None)?,
-        }
-    }
-    pool.release(record_buf);
-    emitter.finish()?;
-    let timing = ChunkTiming {
-        records: partial.records,
-        micros: start.elapsed().as_micros(),
-    };
-    stream_metrics().record_chunk(&timing);
-    partial.chunk_timings.push(timing);
-    Ok(partial.finalize())
-}
-
-/// Detects `watermark` in a single pass over `input` without a
-/// safeguarded query file: units are re-enumerated per record and the
-/// keyed PRF re-derives which ones were selected. Votes equal the DOM
-/// decoder's votes on the same (un-reorganized) document.
-pub fn stream_detect<R: BufRead>(
-    input: R,
-    ctx: StreamContext<'_>,
-    key: &SecretKey,
-    watermark: &Watermark,
-    threshold: f64,
-) -> Result<StreamDetectReport, StreamError> {
-    if watermark.is_empty() {
-        return Err(WmError::new("watermark must have at least one bit").into());
-    }
-    let mut reader = TopLevelReader::new(input);
-    let mut engine: Option<RecordEngine<'_>> = None;
-    let mut partial = PartialDetect::new(effective_len(&ctx, watermark));
-    let start = Instant::now();
-    while let Some(ev) = reader.next_event()? {
-        match &ev {
-            TopEvent::RootStart { name, attributes } => {
-                engine = Some(RecordEngine::new(ctx, key, watermark, name, attributes)?);
-            }
-            TopEvent::Record(raw) => {
-                engine
-                    .as_ref()
-                    .expect("record implies root")
-                    .detect_record(raw, &mut partial)?;
-            }
-            _ => {}
-        }
-    }
-    let timing = ChunkTiming {
-        records: partial.records,
-        micros: start.elapsed().as_micros(),
-    };
-    let metrics = stream_metrics();
-    metrics.record_chunk(&timing);
-    metrics.votes.add(partial.votes_cast as u64);
-    partial.chunk_timings.push(timing);
-    Ok(partial.finalize(watermark, threshold))
-}
-
-/// Effective vote-tally width: base watermark length times the
-/// redundancy factor.
-pub(crate) fn effective_len(ctx: &StreamContext<'_>, watermark: &Watermark) -> usize {
-    watermark.len() * ctx.config.redundancy.max(1) as usize
-}
-
-/// Fault-tolerant streaming detect with per-unit forensics.
-///
-/// Unlike [`stream_detect`], a stream that breaks mid-way (truncated
-/// file, garbled bytes, I/O error) does **not** error out once the root
-/// element has been seen: the verdict over the records processed so far
-/// is returned as a *partial verdict* with
-/// [`StreamFault`](crate::StreamFault) describing what happened, and a
-/// record whose own bytes fail to parse is skipped and noted while the
-/// scan continues. Errors before the root (or semantic-package errors)
-/// still fail hard — there is nothing to salvage.
-pub fn stream_detect_forensic<R: BufRead>(
-    input: R,
-    ctx: StreamContext<'_>,
-    key: &SecretKey,
-    watermark: &Watermark,
-    threshold: f64,
-) -> Result<StreamDetectReport, StreamError> {
-    if watermark.is_empty() {
-        return Err(WmError::new("watermark must have at least one bit").into());
-    }
-    let mut reader = TopLevelReader::new(input);
-    let mut engine: Option<RecordEngine<'_>> = None;
-    let mut partial = PartialDetect::with_forensics(effective_len(&ctx, watermark));
-    let mut skipped_records: Vec<usize> = Vec::new();
-    let mut record_index = 0usize;
-    let mut stream_error: Option<StreamError> = None;
-    let start = Instant::now();
-    loop {
-        match reader.next_event() {
-            Ok(Some(ev)) => match &ev {
-                TopEvent::RootStart { name, attributes } => {
-                    engine = Some(RecordEngine::new(ctx, key, watermark, name, attributes)?);
-                }
-                TopEvent::Record(raw) => {
-                    let index = record_index;
-                    record_index += 1;
-                    let result = engine
-                        .as_ref()
-                        .expect("record implies root")
-                        .detect_record(raw, &mut partial);
-                    if result.is_err() {
-                        // Per-record damage: skip the record, keep the
-                        // verdict over everything else.
-                        skipped_records.push(index);
-                    }
-                }
-                _ => {}
-            },
-            Ok(None) => break,
-            Err(e) => {
-                if engine.is_none() {
-                    return Err(e); // broke before any watermark-bearing content
-                }
-                stream_error = Some(e);
-                break;
-            }
-        }
-    }
-    let engine = match engine {
-        Some(engine) => engine,
-        // Clean end without a root element cannot happen (the reader
-        // errors first), but handle it as a hard error for completeness.
-        None => {
-            return Err(StreamError::Unsupported(
-                "stream ended before a root element".to_string(),
-            ))
-        }
-    };
-    let timing = ChunkTiming {
-        records: partial.records,
-        micros: start.elapsed().as_micros(),
-    };
-    let metrics = stream_metrics();
-    metrics.record_chunk(&timing);
-    metrics.votes.add(partial.votes_cast as u64);
-    partial.chunk_timings.push(timing);
-    let fault = match (&stream_error, skipped_records.is_empty()) {
-        (None, true) => None,
-        _ => Some(crate::StreamFault {
-            records_processed: partial.records,
-            skipped_records,
-            error: stream_error
-                .as_ref()
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "damaged records skipped".to_string()),
-            truncated: matches!(
-                stream_error,
-                Some(StreamError::Xml(_)) | Some(StreamError::Io(_))
-            ),
-        }),
-    };
-    let mut report = partial.finalize_forensic(watermark, threshold, engine.table());
-    report.fault = fault;
-    Ok(report)
 }
 
 #[cfg(test)]

@@ -19,11 +19,16 @@
 //!   resident at any time ([`StreamEmbedReport::peak_resident_nodes`]
 //!   measures the high-water mark); the token buffer is bounded by the
 //!   largest single record.
-//! * **Deterministic parallelism.** [`par_embed`]/[`par_detect`] split
-//!   the record list across worker threads; because every per-unit
-//!   decision depends only on the unit id and the secret key, chunked
-//!   output is byte-identical to sequential output, and detection vote
-//!   counts merge exactly.
+//! * **Deterministic parallelism.** One driver serves every entry point
+//!   ([`embed`]/[`detect`]; `stream_*`/`par_*` are shims over them). With
+//!   `workers > 1` it splits fixed-budget record batches across threads;
+//!   since every per-unit decision depends only on the unit id and the
+//!   key, output, votes, forensics, faults and errors are the same at
+//!   every worker count, and memory stays bounded by the batch.
+//! * **Strict is forensic without the salvage.** [`DetectMode::Strict`]
+//!   fails on the first error in stream order; [`DetectMode::Forensic`]
+//!   skips damaged records and turns a stream that breaks after the root
+//!   into a partial verdict with a [`StreamFault`].
 //!
 //! # Scope
 //!
@@ -42,15 +47,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
-pub mod engine;
+mod driver;
+mod engine;
 mod metrics;
-pub mod parallel;
+mod parallel;
 pub mod reader;
 pub mod report;
 
-pub use driver::{stream_detect, stream_detect_forensic, stream_embed};
-pub use parallel::{par_detect, par_detect_forensic, par_embed};
+pub use driver::{
+    detect, embed, par_detect, par_detect_forensic, par_embed, stream_detect,
+    stream_detect_forensic, stream_embed, DetectMode,
+};
 pub use reader::{Misc, TopEvent, TopLevelReader};
 pub use report::{ChunkSummary, ChunkTiming, StreamDetectReport, StreamEmbedReport, StreamFault};
 

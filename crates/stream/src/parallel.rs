@@ -1,296 +1,158 @@
-//! Chunked parallel driver: records fan out across worker threads.
+//! Batches and workers: how the driver spreads records over threads.
 //!
-//! Because every per-unit decision (selection, bit index, nonce,
-//! whitening) is a pure function of the unit id and the secret key,
-//! records can be embedded in any order on any thread and the
-//! reassembled output is byte-identical to the sequential pass. For
-//! detection, per-chunk vote tallies merge by addition (FD-group
-//! counters by id-set union), so the merged report equals the
-//! sequential one exactly.
+//! A multi-worker pass reads records into a [`Batch`] until it holds
+//! `workers ×` [`BATCH_BYTES_PER_WORKER`] content bytes, then [`fan_out`]
+//! splits it into one contiguous chunk per [`Worker`]. A worker keeps its
+//! partial report, its output buffer and its timing across batches, so
+//! the partials merge once, at the end of the pass, and the buffers warm
+//! up once. Because chunks are contiguous and records are emitted in
+//! worker order, the output equals the one-worker pass byte for byte.
 
-use crate::driver::Emitter;
 use crate::engine::RecordEngine;
-use crate::metrics::stream_metrics;
-use crate::reader::{TopEvent, TopLevelReader};
-use crate::report::{
-    ChunkTiming, PartialDetect, PartialEmbed, StreamDetectReport, StreamEmbedReport,
-};
-use crate::{StreamContext, StreamError};
+use crate::reader::{Misc, TopEvent};
+use crate::report::ChunkTiming;
+use crate::StreamError;
+use std::ops::Range;
 use std::time::Instant;
-use wmx_core::{Watermark, WmError};
-use wmx_crypto::SecretKey;
 
-/// Collects the event list and locates the root info.
-fn collect_events(input: &str) -> Result<Vec<TopEvent>, StreamError> {
-    let mut reader = TopLevelReader::new(input.as_bytes());
-    let mut events = Vec::new();
-    while let Some(ev) = reader.next_event()? {
-        events.push(ev);
-    }
-    Ok(events)
+/// Raw record bytes collected per worker before a multi-worker batch
+/// fans out.
+pub(crate) const BATCH_BYTES_PER_WORKER: usize = 256 * 1024;
+
+/// Most worker threads a pass uses. Larger requests are clamped: the
+/// worker pool and the batch budget grow with the count.
+pub(crate) const MAX_WORKERS: usize = 256;
+
+/// One worker's state, kept across batches.
+pub(crate) struct Worker<P> {
+    pub partial: P,
+    /// This batch's record outputs, back to back.
+    pub out: String,
+    /// One entry per record of this batch's chunk, in order: its span in
+    /// `out`, or its error. Strict mode stops the chunk at its first
+    /// error.
+    pub results: Vec<Result<Range<usize>, StreamError>>,
+    pub timing: ChunkTiming,
 }
 
-/// Fault-tolerant twin of [`collect_events`]: salvages every event read
-/// before the first stream-level error and returns the error alongside.
-fn collect_events_tolerant(input: &str) -> (Vec<TopEvent>, Option<StreamError>) {
-    let mut reader = TopLevelReader::new(input.as_bytes());
-    let mut events = Vec::new();
-    loop {
-        match reader.next_event() {
-            Ok(Some(ev)) => events.push(ev),
-            Ok(None) => return (events, None),
-            Err(e) => return (events, Some(e)),
+impl<P> Worker<P> {
+    pub fn new(partial: P) -> Self {
+        Worker {
+            partial,
+            out: String::new(),
+            results: Vec::new(),
+            timing: ChunkTiming {
+                records: 0,
+                micros: 0,
+            },
         }
     }
-}
 
-fn root_of(events: &[TopEvent]) -> (&str, &[wmx_xml::TokenAttribute]) {
-    events
-        .iter()
-        .find_map(|ev| match ev {
-            TopEvent::RootStart { name, attributes } => {
-                Some((name.as_str(), attributes.as_slice()))
+    /// Runs `work` over a chunk whose first record has stream index
+    /// `first`.
+    pub fn run<'a, F>(
+        &mut self,
+        engine: &RecordEngine<'a>,
+        work: &F,
+        first: usize,
+        chunk: &[String],
+        strict: bool,
+    ) where
+        F: Fn(&RecordEngine<'a>, usize, &str, &mut P, &mut String) -> Result<(), StreamError>,
+    {
+        let start = Instant::now();
+        for (i, raw) in chunk.iter().enumerate() {
+            let begin = self.out.len();
+            let result = work(engine, first + i, raw, &mut self.partial, &mut self.out);
+            let result = result.map(|()| begin..self.out.len());
+            let failed = result.is_err();
+            self.timing.records += usize::from(!failed);
+            self.results.push(result);
+            if failed && strict {
+                break;
             }
-            _ => None,
-        })
-        .expect("reader guarantees a root element")
+        }
+        self.timing.micros += start.elapsed().as_micros();
+    }
 }
 
-/// Splits `records` into at most `workers` contiguous chunks, runs
-/// `work` on each chunk concurrently, and returns the per-chunk results
-/// in record order.
-fn fan_out<I: Sync, T: Send>(
-    records: &[I],
-    workers: usize,
-    work: impl Fn(&[I]) -> Result<T, StreamError> + Sync,
-) -> Result<Vec<T>, StreamError> {
-    if records.is_empty() {
-        return Ok(Vec::new());
+/// Records read since the last flush, with the non-record events between
+/// them.
+#[derive(Default)]
+pub(crate) struct Batch {
+    pub records: Vec<String>,
+    /// Non-record events, each tagged with the number of batch records
+    /// that precede it.
+    pub events: Vec<(usize, TopEvent)>,
+    /// Content bytes held: records plus text, comments and PIs between
+    /// them, so mixed content counts against the budget too.
+    pub bytes: usize,
+    /// Stream index of the first record.
+    pub first: usize,
+}
+
+impl Batch {
+    pub fn push(&mut self, event: TopEvent) {
+        match event {
+            TopEvent::Record(raw) => {
+                self.bytes += raw.len();
+                self.records.push(raw);
+            }
+            event => {
+                if let TopEvent::Misc(misc) | TopEvent::TrailingMisc(misc) = &event {
+                    self.bytes += match misc {
+                        Misc::Text(t) | Misc::CData(t) | Misc::Comment(t) => t.len(),
+                        Misc::Pi { target, data } => target.len() + data.len(),
+                    };
+                }
+                self.events.push((self.records.len(), event));
+            }
+        }
     }
-    let workers = workers.max(1).min(records.len());
-    let chunk = records.len().div_ceil(workers);
-    let results: Vec<Result<T, StreamError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = records
-            .chunks(chunk)
-            .map(|slice| scope.spawn(|| work(slice)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stream worker panicked"))
-            .collect()
+
+    /// Empties the batch after a flush.
+    pub fn clear(&mut self) {
+        self.first += self.records.len();
+        self.records.clear();
+        self.events.clear();
+        self.bytes = 0;
+    }
+}
+
+/// Splits `records` into one contiguous chunk per worker and runs `work`
+/// on each: the first chunk on the calling thread, the others on scoped
+/// threads. `work` gets the chunk's offset into `records`.
+pub(crate) fn fan_out<T: Send>(
+    records: &[String],
+    workers: &mut [T],
+    work: impl Fn(usize, &[String], &mut T) + Sync,
+) {
+    let size = records.len().div_ceil(workers.len()).max(1);
+    let mut chunks = records.chunks(size).zip(workers).enumerate();
+    let Some((_, (head, lead))) = chunks.next() else {
+        return;
+    };
+    if size == records.len() {
+        return work(0, head, lead);
+    }
+    std::thread::scope(|scope| {
+        for (i, (chunk, worker)) in chunks {
+            let work = &work;
+            scope.spawn(move || work(i * size, chunk, worker));
+        }
+        work(0, head, lead);
     });
-    results.into_iter().collect()
-}
-
-/// Parallel streaming embed over an in-memory document. Returns the
-/// embedded bytes (identical to [`crate::stream_embed`]'s output and to
-/// the DOM engine's `to_string`) and the merged report.
-pub fn par_embed(
-    input: &str,
-    workers: usize,
-    ctx: StreamContext<'_>,
-    key: &SecretKey,
-    watermark: &Watermark,
-) -> Result<(String, StreamEmbedReport), StreamError> {
-    if watermark.is_empty() {
-        return Err(WmError::new("watermark must have at least one bit").into());
-    }
-    let events = collect_events(input)?;
-    let (root_name, root_attrs) = root_of(&events);
-    let engine = RecordEngine::new(ctx, key, watermark, root_name, root_attrs)?;
-    let records: Vec<&str> = events
-        .iter()
-        .filter_map(|ev| match ev {
-            TopEvent::Record(raw) => Some(raw.as_str()),
-            _ => None,
-        })
-        .collect();
-
-    let chunk_results = fan_out(&records, workers, |slice| {
-        let start = Instant::now();
-        let mut partial = PartialEmbed::default();
-        let mut outputs = Vec::with_capacity(slice.len());
-        for raw in slice {
-            outputs.push(engine.embed_record(raw, &mut partial)?);
-        }
-        let timing = ChunkTiming {
-            records: slice.len(),
-            micros: start.elapsed().as_micros(),
-        };
-        stream_metrics().record_chunk(&timing);
-        partial.chunk_timings.push(timing);
-        Ok((outputs, partial))
-    })?;
-
-    let mut partial = PartialEmbed::default();
-    let mut record_outputs: Vec<String> = Vec::with_capacity(records.len());
-    for (outputs, chunk_partial) in chunk_results {
-        record_outputs.extend(outputs);
-        partial.merge(chunk_partial);
-        stream_metrics().merges.inc();
-    }
-
-    let mut buf: Vec<u8> = Vec::with_capacity(input.len());
-    let mut emitter = Emitter::new(&mut buf);
-    let mut next_record = 0usize;
-    for ev in &events {
-        match ev {
-            TopEvent::Record(_) => {
-                emitter.event(ev, Some(&record_outputs[next_record]))?;
-                next_record += 1;
-            }
-            _ => emitter.event(ev, None)?,
-        }
-    }
-    emitter.finish()?;
-    Ok((
-        String::from_utf8(buf).expect("serialized XML is UTF-8"),
-        partial.finalize(),
-    ))
-}
-
-/// Parallel streaming detect over an in-memory document: chunk vote
-/// tallies are merged into one report equal to the sequential pass.
-pub fn par_detect(
-    input: &str,
-    workers: usize,
-    ctx: StreamContext<'_>,
-    key: &SecretKey,
-    watermark: &Watermark,
-    threshold: f64,
-) -> Result<StreamDetectReport, StreamError> {
-    if watermark.is_empty() {
-        return Err(WmError::new("watermark must have at least one bit").into());
-    }
-    let events = collect_events(input)?;
-    let (root_name, root_attrs) = root_of(&events);
-    let engine = RecordEngine::new(ctx, key, watermark, root_name, root_attrs)?;
-    let records: Vec<&str> = events
-        .iter()
-        .filter_map(|ev| match ev {
-            TopEvent::Record(raw) => Some(raw.as_str()),
-            _ => None,
-        })
-        .collect();
-
-    let eff_len = crate::driver::effective_len(&ctx, watermark);
-    let chunk_results = fan_out(&records, workers, |slice| {
-        let start = Instant::now();
-        let mut partial = PartialDetect::new(eff_len);
-        for raw in slice {
-            engine.detect_record(raw, &mut partial)?;
-        }
-        let timing = ChunkTiming {
-            records: slice.len(),
-            micros: start.elapsed().as_micros(),
-        };
-        let metrics = stream_metrics();
-        metrics.record_chunk(&timing);
-        metrics.votes.add(partial.votes_cast as u64);
-        partial.chunk_timings.push(timing);
-        Ok(partial)
-    })?;
-
-    let mut merged = PartialDetect::new(eff_len);
-    for chunk_partial in chunk_results {
-        merged.merge(chunk_partial);
-        stream_metrics().merges.inc();
-    }
-    Ok(merged.finalize(watermark, threshold))
-}
-
-/// Fault-tolerant parallel detect with per-unit forensics — the
-/// parallel twin of [`crate::stream_detect_forensic`]. Records fan out
-/// across `workers` threads; per-chunk forensic tallies merge by unit
-/// key, so the rendered forensics are identical for every worker count
-/// (and identical to the sequential and DOM forensic passes). A broken
-/// tail of the input yields a partial verdict with a
-/// [`crate::StreamFault`]; records whose own bytes fail to parse are
-/// skipped and noted.
-pub fn par_detect_forensic(
-    input: &str,
-    workers: usize,
-    ctx: StreamContext<'_>,
-    key: &SecretKey,
-    watermark: &Watermark,
-    threshold: f64,
-) -> Result<StreamDetectReport, StreamError> {
-    if watermark.is_empty() {
-        return Err(WmError::new("watermark must have at least one bit").into());
-    }
-    let (events, stream_error) = collect_events_tolerant(input);
-    let Some((root_name, root_attrs)) = events.iter().find_map(|ev| match ev {
-        TopEvent::RootStart { name, attributes } => Some((name.as_str(), attributes.as_slice())),
-        _ => None,
-    }) else {
-        // Broke before any watermark-bearing content: nothing to salvage.
-        return Err(stream_error.unwrap_or_else(|| {
-            StreamError::Unsupported("stream ended before a root element".to_string())
-        }));
-    };
-    let engine = RecordEngine::new(ctx, key, watermark, root_name, root_attrs)?;
-    let records: Vec<(usize, &str)> = events
-        .iter()
-        .filter_map(|ev| match ev {
-            TopEvent::Record(raw) => Some(raw.as_str()),
-            _ => None,
-        })
-        .enumerate()
-        .collect();
-
-    let eff_len = crate::driver::effective_len(&ctx, watermark);
-    let chunk_results = fan_out(&records, workers, |slice| {
-        let start = Instant::now();
-        let mut partial = PartialDetect::with_forensics(eff_len);
-        let mut skipped = Vec::new();
-        for (index, raw) in slice {
-            if engine.detect_record(raw, &mut partial).is_err() {
-                skipped.push(*index);
-            }
-        }
-        let timing = ChunkTiming {
-            records: slice.len(),
-            micros: start.elapsed().as_micros(),
-        };
-        let metrics = stream_metrics();
-        metrics.record_chunk(&timing);
-        metrics.votes.add(partial.votes_cast as u64);
-        partial.chunk_timings.push(timing);
-        Ok((partial, skipped))
-    })?;
-
-    let mut merged = PartialDetect::with_forensics(eff_len);
-    let mut skipped_records: Vec<usize> = Vec::new();
-    for (chunk_partial, chunk_skipped) in chunk_results {
-        merged.merge(chunk_partial);
-        skipped_records.extend(chunk_skipped);
-        stream_metrics().merges.inc();
-    }
-    skipped_records.sort_unstable();
-    let fault = match (&stream_error, skipped_records.is_empty()) {
-        (None, true) => None,
-        _ => Some(crate::StreamFault {
-            records_processed: merged.records,
-            skipped_records,
-            error: stream_error
-                .as_ref()
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "damaged records skipped".to_string()),
-            truncated: matches!(
-                stream_error,
-                Some(StreamError::Xml(_)) | Some(StreamError::Io(_))
-            ),
-        }),
-    };
-    let mut report = merged.finalize_forensic(watermark, threshold, engine.table());
-    report.fault = fault;
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmx_core::{EncoderConfig, MarkableAttr};
+    use crate::{embed, par_detect, par_detect_forensic, par_embed, StreamContext};
+    use std::cell::Cell;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::rc::Rc;
+    use wmx_core::{EncoderConfig, MarkableAttr, Watermark};
+    use wmx_crypto::SecretKey;
     use wmx_rewrite::binding::{AttrBinding, EntityBinding};
     use wmx_rewrite::SchemaBinding;
     use wmx_schema::Fd;
@@ -469,7 +331,7 @@ mod tests {
 
         let seq = crate::stream_detect(marked.as_bytes(), ctx, &key, &wm, 0.85).unwrap();
         assert!(seq.report.detected);
-        for workers in [2usize, 3, 8] {
+        for workers in [2usize, 3, 8, usize::MAX] {
             let par = par_detect(&marked, workers, ctx, &key, &wm, 0.85).unwrap();
             assert_eq!(
                 par.report.bit_votes, seq.report.bit_votes,
@@ -478,6 +340,106 @@ mod tests {
             assert_eq!(par.report.votes_cast, seq.report.votes_cast);
             assert_eq!(par.report.matched_bits, seq.report.matched_bits);
             assert!(par.report.detected);
+        }
+    }
+
+    /// A source that counts the bytes the driver has consumed.
+    struct CountingReader<R> {
+        inner: R,
+        consumed: Rc<Cell<usize>>,
+    }
+
+    impl<R: BufRead> Read for CountingReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed.set(self.consumed.get() + n);
+            Ok(n)
+        }
+    }
+
+    impl<R: BufRead> BufRead for CountingReader<R> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.inner.fill_buf()
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.consumed.set(self.consumed.get() + amt);
+            self.inner.consume(amt);
+        }
+    }
+
+    /// A sink that records, at every write, how far the output lags
+    /// behind the input consumed so far.
+    struct GapWriter {
+        consumed: Rc<Cell<usize>>,
+        written: usize,
+        max_gap: usize,
+    }
+
+    impl Write for GapWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let gap = self.consumed.get().saturating_sub(self.written);
+            self.max_gap = self.max_gap.max(gap);
+            self.written += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn input_output_gap_is_bounded_for_every_worker_count() {
+        const READ_CHUNK: usize = 8 * 1024;
+        let binding = binding();
+        // Integer parity marks keep every value's length, so output
+        // bytes track input bytes one for one.
+        let config = EncoderConfig::new(2, vec![MarkableAttr::integer("book", "year", 1)]);
+        let ctx = StreamContext {
+            binding: &binding,
+            fds: &[],
+            config: &config,
+        };
+        let key = SecretKey::from_passphrase("gap");
+        let wm = Watermark::parse("10110100").unwrap();
+        for records in [2_000usize, 20_000] {
+            let input = doc(records);
+            let largest = input
+                .split_inclusive("</book>")
+                .map(str::len)
+                .max()
+                .unwrap();
+            for workers in [1usize, 4] {
+                let consumed = Rc::new(Cell::new(0));
+                let source = CountingReader {
+                    inner: BufReader::with_capacity(READ_CHUNK, input.as_bytes()),
+                    consumed: Rc::clone(&consumed),
+                };
+                let mut sink = GapWriter {
+                    consumed,
+                    written: 0,
+                    max_gap: 0,
+                };
+                let report = embed(source, &mut sink, workers, ctx, &key, &wm).unwrap();
+                assert_eq!(report.records, records);
+                assert_eq!(
+                    sink.written,
+                    input.len(),
+                    "records={records} workers={workers}"
+                );
+                let batch = if workers == 1 {
+                    0 // one record at a time
+                } else {
+                    BATCH_BYTES_PER_WORKER * workers
+                };
+                let bound = batch + largest + READ_CHUNK;
+                assert!(
+                    sink.max_gap < bound,
+                    "records={records} workers={workers}: output lagged input by {} bytes (bound {bound})",
+                    sink.max_gap
+                );
+            }
         }
     }
 }

@@ -166,6 +166,15 @@ impl<R: BufRead> TopLevelReader<R> {
         Ok(())
     }
 
+    /// Copies out the held bytes of the record that just closed.
+    fn take_record(&mut self) -> TopEvent {
+        let end = self.pull.stream_offset();
+        let raw = self.pull.raw_range(self.record_start, end);
+        let raw = raw.expect("record bytes are held").to_string();
+        self.pull.release_hold();
+        TopEvent::Record(raw)
+    }
+
     fn err_at(&self, kind: XmlErrorKind) -> StreamError {
         StreamError::Xml(XmlError::dom(kind))
     }
@@ -217,14 +226,7 @@ impl<R: BufRead> TopLevelReader<R> {
                     Token::EndTag { .. } => {
                         self.record_depth -= 1;
                         if self.record_depth == 0 {
-                            let end = self.pull.stream_offset();
-                            let raw = self
-                                .pull
-                                .raw_range(self.record_start, end)
-                                .expect("record bytes are held")
-                                .to_string();
-                            self.pull.release_hold();
-                            return Ok(Some(TopEvent::Record(raw)));
+                            return Ok(Some(self.take_record()));
                         }
                     }
                     _ => {}
@@ -272,14 +274,7 @@ impl<R: BufRead> TopLevelReader<R> {
                     Token::StartTag { self_closing, .. } => {
                         self.record_start = tok_start;
                         if self_closing {
-                            let end = self.pull.stream_offset();
-                            let raw = self
-                                .pull
-                                .raw_range(self.record_start, end)
-                                .expect("record bytes are held")
-                                .to_string();
-                            self.pull.release_hold();
-                            return Ok(Some(TopEvent::Record(raw)));
+                            return Ok(Some(self.take_record()));
                         }
                         self.record_depth = 1;
                         continue;

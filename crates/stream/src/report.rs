@@ -1,32 +1,29 @@
-//! Streaming report accumulation and cross-chunk merging.
+//! Streaming report accumulation and cross-worker merging.
 //!
 //! Key-identified and order units are local to one record, so their
 //! counters simply add up. FD-redundancy groups span records (every
 //! member of `editor → publisher` carries the same mark wherever it
-//! lives), so each chunk tracks them in a single [`UnitKey`]-keyed flag
+//! lives), so each worker tracks them in a single [`UnitKey`]-keyed flag
 //! map — one entry per group carrying its total/selected/marked (or
 //! located) state — and the merge ORs the flags, reproducing exactly
 //! the whole-document counts the DOM encoder reports. Keys are compact
 //! symbol tuples ([`wmx_core::SelectionTable`] symbols are stable
-//! across chunks), so no unit-id strings are built or cloned anywhere
+//! across workers), so no unit-id strings are built or cloned anywhere
 //! on the merge path.
 
 use std::collections::{BTreeMap, BTreeSet};
 use wmx_core::{BitVotes, EmbedReport, ForensicTallies, SelectionTable, StoredQuery, UnitKey};
 
-/// Wall-clock telemetry for one contiguous run of records, consumed by
-/// the `wmx-bench` telemetry reports. The two driver families time
-/// different spans: the sequential drivers emit **one** entry covering
-/// the whole pass (reading, record splitting, per-record work, and
-/// output emission), while the parallel drivers emit one entry per
-/// worker chunk covering only that chunk's per-record embed/detect work
-/// (the upfront split and final reassembly are shared). Compare entries
-/// within a family, not across families.
+/// Wall-clock telemetry for one worker, consumed by the `wmx-bench`
+/// telemetry reports. Every pass emits one entry per worker, covering
+/// that worker's per-record embed/detect work summed over all batches;
+/// reading, record splitting and output emission run on the calling
+/// thread between batches and are not included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkTiming {
-    /// Records processed by this chunk.
+    /// Records this worker processed successfully.
     pub records: usize,
-    /// Wall-clock time for this chunk's span (see type docs), in µs.
+    /// Wall-clock time of this worker's record work, in µs.
     pub micros: u128,
 }
 
@@ -87,8 +84,7 @@ pub struct StreamEmbedReport {
     /// High-water mark of XML nodes resident at once (wrapper root +
     /// one record), the O(depth + record) memory guarantee.
     pub peak_resident_nodes: usize,
-    /// Per-chunk wall-clock timings (one entry for sequential runs, one
-    /// per worker chunk for parallel runs).
+    /// Per-worker wall-clock timings (one entry per worker).
     pub chunk_timings: Vec<ChunkTiming>,
 }
 
@@ -99,10 +95,10 @@ impl StreamEmbedReport {
     }
 }
 
-/// What went wrong mid-stream when the fault-tolerant detect drivers
-/// kept going: the verdict in the accompanying report covers only the
-/// records processed before the fault (a *partial verdict*), never an
-/// error and never a panic.
+/// What went wrong mid-stream when forensic detection kept going: the
+/// verdict in the accompanying report covers only the records processed
+/// before the fault (a *partial verdict*), never an error and never a
+/// panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamFault {
     /// Records fully processed before the fault stopped the reader.
@@ -128,11 +124,10 @@ pub struct StreamDetectReport {
     pub records: usize,
     /// High-water mark of XML nodes resident at once.
     pub peak_resident_nodes: usize,
-    /// Per-chunk wall-clock timings (one entry for sequential runs, one
-    /// per worker chunk for parallel runs).
+    /// Per-worker wall-clock timings (one entry per worker).
     pub chunk_timings: Vec<ChunkTiming>,
-    /// Mid-stream fault, when the fault-tolerant drivers salvaged a
-    /// partial verdict (`None` on a complete pass).
+    /// Mid-stream fault, when forensic detection salvaged a partial
+    /// verdict (`None` on a complete pass).
     pub fault: Option<StreamFault>,
 }
 
@@ -150,11 +145,18 @@ impl StreamDetectReport {
 pub(crate) struct FdEmbedFlags {
     /// The PRF selected the group.
     pub selected: bool,
-    /// Some chunk wrote the mark into the group.
+    /// Some worker wrote the mark into the group.
     pub marked: bool,
 }
 
-/// Per-chunk embed accumulator.
+/// A per-worker accumulator: the driver folds the workers' partials
+/// together, in worker order, at the end of a pass.
+pub(crate) trait Partial: Send {
+    /// Folds a later worker's partial into this one.
+    fn merge(&mut self, other: Self);
+}
+
+/// Per-worker embed accumulator.
 #[derive(Debug, Default)]
 pub(crate) struct PartialEmbed {
     pub records: usize,
@@ -163,16 +165,16 @@ pub(crate) struct PartialEmbed {
     pub selected_local: usize,
     pub marked_local: usize,
     pub marked_nodes: usize,
-    /// Stored queries in discovery order, tagged with the FD unit key
-    /// when the unit is an FD group (for cross-chunk dedup).
-    pub queries: Vec<(Option<UnitKey>, StoredQuery)>,
+    /// Stored queries in discovery order, tagged with their record's
+    /// stream index (workers interleave across batches) and with the FD
+    /// unit key when the unit is an FD group (for cross-worker dedup).
+    pub queries: Vec<(usize, Option<UnitKey>, StoredQuery)>,
     pub fd_flags: BTreeMap<UnitKey, FdEmbedFlags>,
-    pub chunk_timings: Vec<ChunkTiming>,
 }
 
 impl PartialEmbed {
     /// The flag entry for an FD group, created on first sight (the only
-    /// point the key is cloned in this chunk).
+    /// point the key is cloned in this worker).
     pub fn fd_entry(&mut self, key: &UnitKey) -> &mut FdEmbedFlags {
         if !self.fd_flags.contains_key(key) {
             self.fd_flags.insert(key.clone(), FdEmbedFlags::default());
@@ -180,29 +182,15 @@ impl PartialEmbed {
         self.fd_flags.get_mut(key).expect("inserted above")
     }
 
-    pub fn merge(&mut self, other: PartialEmbed) {
-        self.records += other.records;
-        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
-        self.total_local += other.total_local;
-        self.selected_local += other.selected_local;
-        self.marked_local += other.marked_local;
-        self.marked_nodes += other.marked_nodes;
-        for (key, flags) in other.fd_flags {
-            let mine = self.fd_flags.entry(key).or_default();
-            mine.selected |= flags.selected;
-            mine.marked |= flags.marked;
-        }
-        self.queries.extend(other.queries);
-        self.chunk_timings.extend(other.chunk_timings);
-    }
-
-    pub fn finalize(self) -> StreamEmbedReport {
+    pub fn finalize(mut self) -> StreamEmbedReport {
+        // Stable: queries of one record keep their discovery order.
+        self.queries.sort_by_key(|(record, ..)| *record);
         let mut seen_fd: BTreeSet<UnitKey> = BTreeSet::new();
         let mut queries = Vec::with_capacity(self.queries.len());
-        for (fd_key, query) in self.queries {
+        for (_, fd_key, query) in self.queries {
             if let Some(key) = fd_key {
                 if !seen_fd.insert(key) {
-                    continue; // the same FD group marked in another chunk
+                    continue; // the same FD group marked in another record
                 }
             }
             queries.push(query);
@@ -219,12 +207,29 @@ impl PartialEmbed {
             },
             records: self.records,
             peak_resident_nodes: self.peak_resident_nodes,
-            chunk_timings: self.chunk_timings,
+            chunk_timings: Vec::new(),
         }
     }
 }
 
-/// Per-chunk detect accumulator.
+impl Partial for PartialEmbed {
+    fn merge(&mut self, other: PartialEmbed) {
+        self.records += other.records;
+        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
+        self.total_local += other.total_local;
+        self.selected_local += other.selected_local;
+        self.marked_local += other.marked_local;
+        self.marked_nodes += other.marked_nodes;
+        for (key, flags) in other.fd_flags {
+            let mine = self.fd_flags.entry(key).or_default();
+            mine.selected |= flags.selected;
+            mine.marked |= flags.marked;
+        }
+        self.queries.extend(other.queries);
+    }
+}
+
+/// Per-worker detect accumulator.
 #[derive(Debug)]
 pub(crate) struct PartialDetect {
     pub records: usize,
@@ -233,16 +238,15 @@ pub(crate) struct PartialDetect {
     pub votes_cast: usize,
     pub total_local: usize,
     pub located_local: usize,
-    /// Selected FD groups → whether any chunk located votes for them.
+    /// Selected FD groups → whether any worker located votes for them.
     pub fd_located: BTreeMap<UnitKey, bool>,
-    /// Per-unit forensic tallies, accumulated only when the forensic
-    /// drivers enable them (`None` keeps the default hot path untouched).
+    /// Per-unit forensic tallies, accumulated only in forensic mode
+    /// (`None` keeps the strict hot path untouched).
     pub forensics: Option<ForensicTallies>,
-    pub chunk_timings: Vec<ChunkTiming>,
 }
 
 impl PartialDetect {
-    pub fn new(wm_len: usize) -> Self {
+    pub fn new(wm_len: usize, forensics: bool) -> Self {
         PartialDetect {
             records: 0,
             peak_resident_nodes: 0,
@@ -251,42 +255,14 @@ impl PartialDetect {
             total_local: 0,
             located_local: 0,
             fd_located: BTreeMap::new(),
-            forensics: None,
-            chunk_timings: Vec::new(),
+            forensics: forensics.then(ForensicTallies::new),
         }
-    }
-
-    /// A fresh accumulator with forensic tallies enabled.
-    pub fn with_forensics(wm_len: usize) -> Self {
-        let mut partial = PartialDetect::new(wm_len);
-        partial.forensics = Some(ForensicTallies::new());
-        partial
     }
 
     /// The located flag for a selected FD group. Takes the key by value:
     /// an already-present key is dropped, not cloned.
     pub fn fd_entry(&mut self, key: UnitKey) -> &mut bool {
         self.fd_located.entry(key).or_default()
-    }
-
-    pub fn merge(&mut self, other: PartialDetect) {
-        self.records += other.records;
-        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
-        for (mine, theirs) in self.bit_votes.iter_mut().zip(&other.bit_votes) {
-            mine.merge(theirs);
-        }
-        self.votes_cast += other.votes_cast;
-        self.total_local += other.total_local;
-        self.located_local += other.located_local;
-        for (key, located) in other.fd_located {
-            *self.fd_located.entry(key).or_default() |= located;
-        }
-        match (&mut self.forensics, other.forensics) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (mine @ None, Some(theirs)) => *mine = Some(theirs),
-            (_, None) => {}
-        }
-        self.chunk_timings.extend(other.chunk_timings);
     }
 
     fn counters(&self) -> wmx_core::VoteCounters {
@@ -299,29 +275,13 @@ impl PartialDetect {
         }
     }
 
-    pub fn finalize(self, watermark: &wmx_core::Watermark, threshold: f64) -> StreamDetectReport {
-        let counters = self.counters();
-        // The base-width, no-forensics case keeps the original pinned
-        // path; a wider tally means redundancy mode, which needs the
-        // group-majority decode.
-        let report = if self.bit_votes.len() == watermark.len() {
-            wmx_core::report_from_votes(self.bit_votes, watermark, threshold, counters)
-        } else {
-            wmx_core::finalize_forensic_report(self.bit_votes, watermark, threshold, counters, None)
-        };
-        StreamDetectReport {
-            report,
-            records: self.records,
-            peak_resident_nodes: self.peak_resident_nodes,
-            chunk_timings: self.chunk_timings,
-            fault: None,
-        }
-    }
-
-    /// Finalize with the forensic tallies rendered through the same
+    /// Renders the verdict through the same
     /// [`wmx_core::finalize_forensic_report`] seam the DOM forensic
     /// decoder uses — DOM and stream forensics agree by construction.
-    pub fn finalize_forensic(
+    /// Without tallies (strict mode) it is the plain vote report; a tally
+    /// wider than the watermark means redundancy mode, which needs the
+    /// group-majority decode.
+    pub fn finalize(
         self,
         watermark: &wmx_core::Watermark,
         threshold: f64,
@@ -339,8 +299,27 @@ impl PartialDetect {
             report,
             records: self.records,
             peak_resident_nodes: self.peak_resident_nodes,
-            chunk_timings: self.chunk_timings,
+            chunk_timings: Vec::new(),
             fault: None,
+        }
+    }
+}
+
+impl Partial for PartialDetect {
+    fn merge(&mut self, other: PartialDetect) {
+        self.records += other.records;
+        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
+        for (mine, theirs) in self.bit_votes.iter_mut().zip(&other.bit_votes) {
+            mine.merge(theirs);
+        }
+        self.votes_cast += other.votes_cast;
+        self.total_local += other.total_local;
+        self.located_local += other.located_local;
+        for (key, located) in other.fd_located {
+            *self.fd_located.entry(key).or_default() |= located;
+        }
+        if let (Some(mine), Some(theirs)) = (&mut self.forensics, other.forensics) {
+            mine.merge(theirs);
         }
     }
 }

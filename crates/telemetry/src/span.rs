@@ -195,6 +195,18 @@ pub fn render_trace(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `TRACE_ENABLED` is process-global and tests run on parallel
+    /// threads: every test that flips it holds this lock, so one test's
+    /// `disable_trace` cannot land inside another's traced region.
+    static TRACE_FLAG: Mutex<()> = Mutex::new(());
+
+    fn lock_trace_flag() -> MutexGuard<'static, ()> {
+        TRACE_FLAG
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn span_records_into_the_global_histogram() {
@@ -208,6 +220,7 @@ mod tests {
 
     #[test]
     fn trace_captures_nesting_in_order() {
+        let _flag = lock_trace_flag();
         enable_trace();
         take_trace(); // discard anything a previous test left behind
         {
@@ -227,6 +240,7 @@ mod tests {
 
     #[test]
     fn tracing_off_buffers_nothing() {
+        let _flag = lock_trace_flag();
         disable_trace();
         take_trace();
         {

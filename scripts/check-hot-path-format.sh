@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Hot-path allocation guard: the embed/detect loops in wmx-core and the
-# per-record loop in wmx-stream must stay symbol-native. Unit identity
+# per-record loop in wmx-stream (engine, report accumulators, and the
+# driver's reader loop, worker pool and emitter) must stay symbol-native. Unit identity
 # is a compact UnitKey fed to the PRF incrementally; textual ids are
 # rendered only by UnitKey::display for marked units; record
-# mini-documents and wrapper tags are assembled with push_str into
-# pre-sized buffers. A `format!` creeping back into the non-test region
+# mini-documents and wrapper tags are assembled with push_str or concat
+# into pre-sized buffers. A `format!` creeping back into the non-test region
 # of these files would put a per-unit (or per-record) allocation on the
 # hottest loop, so CI denies it here (tests below `#[cfg(test)]` are
 # exempt). The streaming engine additionally must never parse a query
@@ -15,7 +16,7 @@ set -eu
 cd "$(dirname "$0")/.."
 status=0
 for f in crates/core/src/encoder.rs crates/core/src/decoder.rs crates/stream/src/engine.rs \
-         crates/stream/src/report.rs; do
+         crates/stream/src/report.rs crates/stream/src/driver.rs crates/stream/src/parallel.rs; do
     hits=$(awk '/#\[cfg\(test\)\]/{exit} /format!/{print FILENAME ":" FNR ": " $0}' "$f")
     if [ -n "$hits" ]; then
         echo "error: format! on the embed/detect hot path (use UnitKey/display or push_str):" >&2

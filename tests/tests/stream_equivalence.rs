@@ -22,7 +22,7 @@ use wmx_crypto::SecretKey;
 use wmx_data::{jobs, library, publications, Dataset};
 use wmx_stream::{
     par_detect, par_detect_forensic, par_embed, stream_detect, stream_detect_forensic,
-    stream_embed, StreamContext,
+    stream_embed, DetectMode, StreamContext, StreamFault,
 };
 use wmx_xml::{parse, to_pretty_string, to_string};
 
@@ -521,4 +521,130 @@ fn chunked_reads_do_not_change_output() {
     );
     stream_embed(src, &mut trickled, ctx(&dataset), &key(), &wm()).unwrap();
     assert_eq!(whole, trickled);
+}
+
+/// What one worker count made of one damaged input: the strict embed
+/// and detect errors (`Display` text, `None` when accepted) and the
+/// forensic outcome.
+#[derive(Debug, PartialEq)]
+struct Verdicts {
+    strict_embed: Option<String>,
+    strict_detect: Option<String>,
+    forensic: Result<(Option<StreamFault>, usize, Option<ForensicsReport>), String>,
+}
+
+fn verdicts(input: &[u8], workers: usize, dataset: &Dataset) -> Verdicts {
+    // Small reads put a mid-document encoding error after the root.
+    let source = || std::io::BufReader::with_capacity(512, input);
+    let detect = |mode| {
+        wmx_stream::detect(source(), workers, mode, ctx(dataset), &key(), &wm(), 0.85)
+            .map_err(|e| e.to_string())
+    };
+    let strict_embed = wmx_stream::embed(
+        source(),
+        std::io::sink(),
+        workers,
+        ctx(dataset),
+        &key(),
+        &wm(),
+    )
+    .err()
+    .map(|e| e.to_string());
+    let v = Verdicts {
+        strict_embed,
+        strict_detect: detect(DetectMode::Strict).err(),
+        forensic: detect(DetectMode::Forensic).map(|r| (r.fault, r.records, r.report.forensics)),
+    };
+    // The named entry points are the same driver.
+    let shim = match std::str::from_utf8(input) {
+        Ok(text) => Verdicts {
+            strict_embed: par_embed(text, workers, ctx(dataset), &key(), &wm())
+                .err()
+                .map(|e| e.to_string()),
+            strict_detect: par_detect(text, workers, ctx(dataset), &key(), &wm(), 0.85)
+                .err()
+                .map(|e| e.to_string()),
+            forensic: par_detect_forensic(text, workers, ctx(dataset), &key(), &wm(), 0.85)
+                .map(|r| (r.fault, r.records, r.report.forensics))
+                .map_err(|e| e.to_string()),
+        },
+        Err(_) if workers == 1 => Verdicts {
+            strict_embed: stream_embed(source(), std::io::sink(), ctx(dataset), &key(), &wm())
+                .err()
+                .map(|e| e.to_string()),
+            strict_detect: stream_detect(source(), ctx(dataset), &key(), &wm(), 0.85)
+                .err()
+                .map(|e| e.to_string()),
+            forensic: stream_detect_forensic(source(), ctx(dataset), &key(), &wm(), 0.85)
+                .map(|r| (r.fault, r.records, r.report.forensics))
+                .map_err(|e| e.to_string()),
+        },
+        Err(_) => return v,
+    };
+    assert_eq!(shim, v, "workers={workers}: named entry point diverges");
+    v
+}
+
+#[test]
+fn every_worker_count_accepts_and_rejects_the_same_inputs() {
+    let dataset = publications::generate(&publications::PublicationsConfig {
+        records: 80,
+        editors: 6,
+        seed: 49,
+        gamma: 2,
+    });
+    let (marked, _) = dom_embed_bytes(&to_string(&dataset.doc), &dataset);
+    let cut = |text: &str, pct: usize| text.as_bytes()[..text.len() * pct / 100].to_vec();
+    // Record 9's title closes as </year>: the top-level splitter's depth
+    // count still balances, so only the record parse notices.
+    let title_end = marked.match_indices("</title>").nth(9).unwrap().0;
+    let mismatched = format!(
+        "{}</year>{}",
+        &marked[..title_end],
+        &marked[title_end + "</title>".len()..]
+    );
+    let mut non_utf8 = marked.clone().into_bytes();
+    let mid = marked[marked.len() / 2..].find("<year>").unwrap() + marked.len() / 2 + 6;
+    non_utf8[mid] = 0xFF;
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "truncated in the prolog",
+            b"<?xml version=\"1.0\"?><!-- cut".to_vec(),
+        ),
+        ("truncated mid-record", cut(&marked, 55)),
+        ("mismatched close tag, then truncated", cut(&mismatched, 80)),
+        ("second root", format!("{marked}<db/>").into_bytes()),
+        ("trailing text", format!("{marked}junk").into_bytes()),
+        ("non-UTF-8 byte", non_utf8),
+    ];
+    for (i, (name, input)) in cases.iter().enumerate() {
+        let reference = verdicts(input, 1, &dataset);
+        assert!(
+            reference.strict_embed.is_some() && reference.strict_detect.is_some(),
+            "{name}: strict mode must reject the input"
+        );
+        // Only the prolog case breaks before the root; every other input
+        // leaves a partial verdict to salvage.
+        assert_eq!(reference.forensic.is_ok(), i > 0, "{name}");
+        for workers in [2usize, 3, 8] {
+            assert_eq!(
+                verdicts(input, workers, &dataset),
+                reference,
+                "{name}: workers={workers}"
+            );
+        }
+    }
+    // Strict mode stops at the first error in stream order: the damaged
+    // record, not the truncation after it; forensic mode skips it.
+    let damaged = verdicts(&cases[2].1, 3, &dataset);
+    let record_error = damaged.strict_detect.unwrap();
+    assert!(
+        record_error.contains("mismatched close tag"),
+        "{record_error}"
+    );
+    assert_eq!(damaged.strict_embed.as_deref(), Some(record_error.as_str()));
+    let (fault, ..) = damaged.forensic.unwrap();
+    let fault = fault.expect("damage reported");
+    assert_eq!(fault.skipped_records, vec![9]);
+    assert!(fault.truncated);
 }
