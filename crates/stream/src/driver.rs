@@ -63,7 +63,7 @@ pub fn embed<R: BufRead, W: Write>(
         key,
         watermark,
         PartialEmbed::default,
-        |engine, index, raw, partial, out| engine.embed_record_into(index, raw, partial, out),
+        |engine, raw, partial, out| engine.embed_record_into(raw, partial, out),
     )?;
     Ok(StreamEmbedReport {
         chunk_timings: run.timings,
@@ -94,7 +94,7 @@ pub fn detect<R: BufRead>(
         key,
         watermark,
         || PartialDetect::new(width, mode == Forensic),
-        |engine, _, raw, partial, _| engine.detect_record(raw, partial),
+        |engine, raw, partial, _| engine.detect_record(raw, partial),
     )?;
     stream_metrics().votes.add(run.partial.votes_cast as u64);
     Ok(StreamDetectReport {
@@ -184,9 +184,9 @@ pub fn par_detect_forensic(
 /// A finished pass.
 struct Run<'a, P> {
     engine: RecordEngine<'a>,
-    /// The workers' partials, merged in worker order.
+    /// The workers' partials, merged in stream order.
     partial: P,
-    /// One entry per worker.
+    /// One entry per worker that was given records.
     timings: Vec<ChunkTiming>,
     /// The damage forensic mode salvaged a verdict around.
     fault: Option<StreamFault>,
@@ -210,7 +210,7 @@ where
     R: BufRead,
     W: Write,
     P: Partial,
-    F: Fn(&RecordEngine<'a>, usize, &str, &mut P, &mut String) -> Result<(), StreamError> + Sync,
+    F: Fn(&RecordEngine<'a>, &str, &mut P, &mut String) -> Result<(), StreamError> + Sync,
 {
     if watermark.is_empty() {
         return Err(WmError::new("watermark must have at least one bit").into());
@@ -232,13 +232,15 @@ where
     let workers = workers.clamp(1, MAX_WORKERS);
     let mut pool: Vec<Worker<P>> = (0..workers).map(|_| Worker::new(new_partial())).collect();
     let mut skipped = Vec::new();
-    // Fans a batch out over the pool, then emits its outputs and the
-    // events between them in stream order.
+    let metrics = stream_metrics();
+    // Fans a batch out over the pool, emits its outputs and the events
+    // between them in stream order, then folds the other workers'
+    // partials into the first worker's.
     let mut flush = |batch: &mut Batch| -> Result<(), StreamError> {
-        let first = batch.first;
-        fan_out(&batch.records, &mut pool, |offset, chunk, worker| {
-            worker.run(&engine, &work, first + offset, chunk, strict);
+        let used = fan_out(&batch.records, &mut pool, |chunk, worker| {
+            worker.run(&engine, &work, chunk, strict);
         });
+        let first = batch.first;
         let mut events = batch.events.drain(..).peekable();
         let mut at = 0;
         for worker in &mut pool {
@@ -257,6 +259,14 @@ where
         }
         for (_, event) in events {
             emitter.event(event)?;
+        }
+        let (lead, rest) = pool
+            .split_first_mut()
+            .expect("a pass has at least one worker");
+        for worker in &mut rest[..used.saturating_sub(1)] {
+            let partial = std::mem::replace(&mut worker.partial, new_partial());
+            lead.partial.merge(partial);
+            metrics.merges.inc();
         }
         batch.clear();
         Ok(())
@@ -278,8 +288,7 @@ where
         error => error,
     };
     emitter.finish()?;
-    let metrics = stream_metrics();
-    let timings: Vec<ChunkTiming> = pool.iter().map(|w| w.timing).collect();
+    let timings: Vec<ChunkTiming> = pool.iter().filter_map(|w| w.timing).collect();
     timings.iter().for_each(|t| metrics.record_chunk(t));
     let fault = (error.is_some() || !skipped.is_empty()).then(|| StreamFault {
         records_processed: timings.iter().map(|t| t.records).sum(),
@@ -287,12 +296,7 @@ where
         error: error.map_or_else(|| "damaged records skipped".to_string(), |e| e.to_string()),
         skipped_records: skipped,
     });
-    let mut partials = pool.into_iter().map(|w| w.partial);
-    let mut partial = partials.next().expect("a pass has at least one worker");
-    for other in partials {
-        partial.merge(other);
-        metrics.merges.inc();
-    }
+    let partial = pool.swap_remove(0).partial;
     Ok(Run {
         engine,
         partial,

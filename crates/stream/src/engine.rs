@@ -94,14 +94,20 @@ impl<'a> RecordEngine<'a> {
         root_attributes: &[TokenAttribute],
     ) -> Result<Self, StreamError> {
         let root_open = open_tag(root_name, root_attributes);
-        let root_close = ["</", root_name, ">"].concat();
+        let mut root_close = String::with_capacity(root_name.len() + 3);
+        root_close.push_str("</");
+        root_close.push_str(root_name);
+        root_close.push('>');
         // Binding/config validation (unbound attributes, markable keys…)
         // happens at plan compile time, before any record is seen, so
         // the same errors the DOM encoder would raise surface here.
         let plan = global_plan_cache()
             .get_or_compile(ctx.binding, ctx.fds, ctx.config)
             .map_err(StreamError::Wm)?;
-        let probe = parse(&[root_open.as_str(), &root_close].concat()).map_err(StreamError::Xml)?;
+        let mut probe_text = String::with_capacity(root_open.len() + root_close.len());
+        probe_text.push_str(&root_open);
+        probe_text.push_str(&root_close);
+        let probe = parse(&probe_text).map_err(StreamError::Xml)?;
         let probe_root = probe.root_element().expect("probe has a root");
         let mut entity_names: Vec<&str> = ctx
             .config
@@ -172,8 +178,11 @@ impl<'a> RecordEngine<'a> {
 
     /// Parses one raw record slice into its wrapped mini-document.
     fn mini_doc(&self, record_raw: &str) -> Result<Document, StreamError> {
-        // `concat` sizes the buffer once, from the three lengths.
-        let text = [self.root_open.as_str(), record_raw, &self.root_close].concat();
+        let mut text =
+            String::with_capacity(self.root_open.len() + record_raw.len() + self.root_close.len());
+        text.push_str(&self.root_open);
+        text.push_str(record_raw);
+        text.push_str(&self.root_close);
         // Handing the buffer to the parser (instead of re-borrowing it)
         // lets the lexer back text/attribute spans with the shared input
         // — record values land in the DOM as zero-copy slices.
@@ -181,11 +190,10 @@ impl<'a> RecordEngine<'a> {
             .map_err(StreamError::Xml)
     }
 
-    /// Embeds into the record with stream index `record` and appends
-    /// its serialized bytes to `out`.
+    /// Embeds into one record and appends its serialized bytes to `out`,
+    /// so the driver can recycle one output allocation across records.
     pub fn embed_record_into(
         &self,
-        record: usize,
         record_raw: &str,
         partial: &mut PartialEmbed,
         out: &mut String,
@@ -201,7 +209,7 @@ impl<'a> RecordEngine<'a> {
             if is_fd {
                 // One map entry per FD group carries total/selected/
                 // marked flags — the key is cloned at most once per
-                // worker instead of once per counter set per record.
+                // chunk instead of once per counter set per record.
                 let flags = partial.fd_entry(&unit.key);
                 flags.selected |= selected;
             } else {
@@ -243,9 +251,7 @@ impl<'a> RecordEngine<'a> {
                     logical,
                     mark: unit.mark,
                 };
-                partial
-                    .queries
-                    .push((record, is_fd.then_some(unit.key), stored));
+                partial.queries.push((is_fd.then_some(unit.key), stored));
             }
         }
         partial.records += 1;

@@ -3,10 +3,10 @@
 //! A multi-worker pass reads records into a [`Batch`] until it holds
 //! `workers ×` [`BATCH_BYTES_PER_WORKER`] content bytes, then [`fan_out`]
 //! splits it into one contiguous chunk per [`Worker`]. A worker keeps its
-//! partial report, its output buffer and its timing across batches, so
-//! the partials merge once, at the end of the pass, and the buffers warm
-//! up once. Because chunks are contiguous and records are emitted in
-//! worker order, the output equals the one-worker pass byte for byte.
+//! output buffer and its timing across batches, so the buffers warm up
+//! once. Because chunks are contiguous and records are emitted and
+//! partials merged in worker order, the output and the report equal the
+//! one-worker pass.
 
 use crate::engine::RecordEngine;
 use crate::reader::{Misc, TopEvent};
@@ -25,6 +25,8 @@ pub(crate) const MAX_WORKERS: usize = 256;
 
 /// One worker's state, kept across batches.
 pub(crate) struct Worker<P> {
+    /// The first worker's partial accumulates the whole pass; the others
+    /// cover their chunk of the current batch.
     pub partial: P,
     /// This batch's record outputs, back to back.
     pub out: String,
@@ -32,7 +34,8 @@ pub(crate) struct Worker<P> {
     /// `out`, or its error. Strict mode stops the chunk at its first
     /// error.
     pub results: Vec<Result<Range<usize>, StreamError>>,
-    pub timing: ChunkTiming,
+    /// `None` until the worker is first given records.
+    pub timing: Option<ChunkTiming>,
 }
 
 impl<P> Worker<P> {
@@ -41,38 +44,37 @@ impl<P> Worker<P> {
             partial,
             out: String::new(),
             results: Vec::new(),
-            timing: ChunkTiming {
-                records: 0,
-                micros: 0,
-            },
+            timing: None,
         }
     }
 
-    /// Runs `work` over a chunk whose first record has stream index
-    /// `first`.
+    /// Runs `work` over a chunk of records.
     pub fn run<'a, F>(
         &mut self,
         engine: &RecordEngine<'a>,
         work: &F,
-        first: usize,
         chunk: &[String],
         strict: bool,
     ) where
-        F: Fn(&RecordEngine<'a>, usize, &str, &mut P, &mut String) -> Result<(), StreamError>,
+        F: Fn(&RecordEngine<'a>, &str, &mut P, &mut String) -> Result<(), StreamError>,
     {
         let start = Instant::now();
-        for (i, raw) in chunk.iter().enumerate() {
+        let timing = self.timing.get_or_insert(ChunkTiming {
+            records: 0,
+            micros: 0,
+        });
+        for raw in chunk {
             let begin = self.out.len();
-            let result = work(engine, first + i, raw, &mut self.partial, &mut self.out);
+            let result = work(engine, raw, &mut self.partial, &mut self.out);
             let result = result.map(|()| begin..self.out.len());
             let failed = result.is_err();
-            self.timing.records += usize::from(!failed);
+            timing.records += usize::from(!failed);
             self.results.push(result);
             if failed && strict {
                 break;
             }
         }
-        self.timing.micros += start.elapsed().as_micros();
+        timing.micros += start.elapsed().as_micros();
     }
 }
 
@@ -119,29 +121,32 @@ impl Batch {
     }
 }
 
-/// Splits `records` into one contiguous chunk per worker and runs `work`
-/// on each: the first chunk on the calling thread, the others on scoped
-/// threads. `work` gets the chunk's offset into `records`.
+/// Splits `records` into at most one contiguous chunk per worker and runs
+/// `work` on each: the first chunk on the calling thread, the others on
+/// scoped threads. Returns the number of chunks, so `workers[..n]` ran.
 pub(crate) fn fan_out<T: Send>(
     records: &[String],
     workers: &mut [T],
-    work: impl Fn(usize, &[String], &mut T) + Sync,
-) {
+    work: impl Fn(&[String], &mut T) + Sync,
+) -> usize {
     let size = records.len().div_ceil(workers.len()).max(1);
-    let mut chunks = records.chunks(size).zip(workers).enumerate();
-    let Some((_, (head, lead))) = chunks.next() else {
-        return;
+    let used = records.len().div_ceil(size);
+    let mut chunks = records.chunks(size).zip(workers);
+    let Some((head, lead)) = chunks.next() else {
+        return 0;
     };
-    if size == records.len() {
-        return work(0, head, lead);
+    if used == 1 {
+        work(head, lead);
+        return used;
     }
     std::thread::scope(|scope| {
-        for (i, (chunk, worker)) in chunks {
+        for (chunk, worker) in chunks {
             let work = &work;
-            scope.spawn(move || work(i * size, chunk, worker));
+            scope.spawn(move || work(chunk, worker));
         }
-        work(0, head, lead);
+        work(head, lead);
     });
+    used
 }
 
 #[cfg(test)]
@@ -238,6 +243,11 @@ mod tests {
                 "workers={workers}"
             );
         }
+
+        // Idle workers report no timing: 3 records on 8 workers time 3.
+        let (_, few) = par_embed(&doc(3), 8, ctx, &key, &wm).unwrap();
+        assert_eq!(few.chunk_timings.len(), 3);
+        assert!(few.chunk_timings.iter().all(|t| t.records == 1));
 
         let mut dom = wmx_xml::parse(&input).unwrap();
         wmx_core::embed(&mut dom, &binding, &fds, &config, &key, &wm).unwrap();
@@ -410,6 +420,7 @@ mod tests {
                 .map(str::len)
                 .max()
                 .unwrap();
+            let mut one_worker_queries = Vec::new();
             for workers in [1usize, 4] {
                 let consumed = Rc::new(Cell::new(0));
                 let source = CountingReader {
@@ -423,6 +434,12 @@ mod tests {
                 };
                 let report = embed(source, &mut sink, workers, ctx, &key, &wm).unwrap();
                 assert_eq!(report.records, records);
+                // Several batches still store the queries in stream order.
+                if workers == 1 {
+                    one_worker_queries = report.report.queries;
+                } else {
+                    assert_eq!(report.report.queries, one_worker_queries);
+                }
                 assert_eq!(
                     sink.written,
                     input.len(),

@@ -166,15 +166,6 @@ impl<R: BufRead> TopLevelReader<R> {
         Ok(())
     }
 
-    /// Copies out the held bytes of the record that just closed.
-    fn take_record(&mut self) -> TopEvent {
-        let end = self.pull.stream_offset();
-        let raw = self.pull.raw_range(self.record_start, end);
-        let raw = raw.expect("record bytes are held").to_string();
-        self.pull.release_hold();
-        TopEvent::Record(raw)
-    }
-
     fn err_at(&self, kind: XmlErrorKind) -> StreamError {
         StreamError::Xml(XmlError::dom(kind))
     }
@@ -226,7 +217,14 @@ impl<R: BufRead> TopLevelReader<R> {
                     Token::EndTag { .. } => {
                         self.record_depth -= 1;
                         if self.record_depth == 0 {
-                            return Ok(Some(self.take_record()));
+                            let end = self.pull.stream_offset();
+                            let raw = self
+                                .pull
+                                .raw_range(self.record_start, end)
+                                .expect("record bytes are held")
+                                .to_string();
+                            self.pull.release_hold();
+                            return Ok(Some(TopEvent::Record(raw)));
                         }
                     }
                     _ => {}
@@ -274,7 +272,14 @@ impl<R: BufRead> TopLevelReader<R> {
                     Token::StartTag { self_closing, .. } => {
                         self.record_start = tok_start;
                         if self_closing {
-                            return Ok(Some(self.take_record()));
+                            let end = self.pull.stream_offset();
+                            let raw = self
+                                .pull
+                                .raw_range(self.record_start, end)
+                                .expect("record bytes are held")
+                                .to_string();
+                            self.pull.release_hold();
+                            return Ok(Some(TopEvent::Record(raw)));
                         }
                         self.record_depth = 1;
                         continue;

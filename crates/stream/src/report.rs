@@ -15,8 +15,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use wmx_core::{BitVotes, EmbedReport, ForensicTallies, SelectionTable, StoredQuery, UnitKey};
 
 /// Wall-clock telemetry for one worker, consumed by the `wmx-bench`
-/// telemetry reports. Every pass emits one entry per worker, covering
-/// that worker's per-record embed/detect work summed over all batches;
+/// telemetry reports. Every pass emits one entry per worker that was
+/// given records (idle workers report nothing), covering that worker's
+/// per-record embed/detect work summed over all batches;
 /// reading, record splitting and output emission run on the calling
 /// thread between batches and are not included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +85,7 @@ pub struct StreamEmbedReport {
     /// High-water mark of XML nodes resident at once (wrapper root +
     /// one record), the O(depth + record) memory guarantee.
     pub peak_resident_nodes: usize,
-    /// Per-worker wall-clock timings (one entry per worker).
+    /// Per-worker wall-clock timings (one entry per worker given records).
     pub chunk_timings: Vec<ChunkTiming>,
 }
 
@@ -124,7 +125,7 @@ pub struct StreamDetectReport {
     pub records: usize,
     /// High-water mark of XML nodes resident at once.
     pub peak_resident_nodes: usize,
-    /// Per-worker wall-clock timings (one entry per worker).
+    /// Per-worker wall-clock timings (one entry per worker given records).
     pub chunk_timings: Vec<ChunkTiming>,
     /// Mid-stream fault, when forensic detection salvaged a partial
     /// verdict (`None` on a complete pass).
@@ -149,14 +150,15 @@ pub(crate) struct FdEmbedFlags {
     pub marked: bool,
 }
 
-/// A per-worker accumulator: the driver folds the workers' partials
-/// together, in worker order, at the end of a pass.
+/// A per-chunk accumulator: after each batch the driver folds the
+/// workers' partials into the first worker's, in worker order, so the
+/// accumulated partial always covers a prefix of the stream.
 pub(crate) trait Partial: Send {
-    /// Folds a later worker's partial into this one.
+    /// Folds the partial of the records that follow into this one.
     fn merge(&mut self, other: Self);
 }
 
-/// Per-worker embed accumulator.
+/// Per-chunk embed accumulator.
 #[derive(Debug, Default)]
 pub(crate) struct PartialEmbed {
     pub records: usize,
@@ -165,16 +167,15 @@ pub(crate) struct PartialEmbed {
     pub selected_local: usize,
     pub marked_local: usize,
     pub marked_nodes: usize,
-    /// Stored queries in discovery order, tagged with their record's
-    /// stream index (workers interleave across batches) and with the FD
-    /// unit key when the unit is an FD group (for cross-worker dedup).
-    pub queries: Vec<(usize, Option<UnitKey>, StoredQuery)>,
+    /// Stored queries in discovery order, tagged with the FD unit key
+    /// when the unit is an FD group (for cross-chunk dedup).
+    pub queries: Vec<(Option<UnitKey>, StoredQuery)>,
     pub fd_flags: BTreeMap<UnitKey, FdEmbedFlags>,
 }
 
 impl PartialEmbed {
     /// The flag entry for an FD group, created on first sight (the only
-    /// point the key is cloned in this worker).
+    /// point the key is cloned in this chunk).
     pub fn fd_entry(&mut self, key: &UnitKey) -> &mut FdEmbedFlags {
         if !self.fd_flags.contains_key(key) {
             self.fd_flags.insert(key.clone(), FdEmbedFlags::default());
@@ -182,12 +183,10 @@ impl PartialEmbed {
         self.fd_flags.get_mut(key).expect("inserted above")
     }
 
-    pub fn finalize(mut self) -> StreamEmbedReport {
-        // Stable: queries of one record keep their discovery order.
-        self.queries.sort_by_key(|(record, ..)| *record);
+    pub fn finalize(self) -> StreamEmbedReport {
         let mut seen_fd: BTreeSet<UnitKey> = BTreeSet::new();
         let mut queries = Vec::with_capacity(self.queries.len());
-        for (_, fd_key, query) in self.queries {
+        for (fd_key, query) in self.queries {
             if let Some(key) = fd_key {
                 if !seen_fd.insert(key) {
                     continue; // the same FD group marked in another record
@@ -229,7 +228,7 @@ impl Partial for PartialEmbed {
     }
 }
 
-/// Per-worker detect accumulator.
+/// Per-chunk detect accumulator.
 #[derive(Debug)]
 pub(crate) struct PartialDetect {
     pub records: usize,

@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # Hot-path allocation guard: the embed/detect loops in wmx-core and the
 # per-record loop in wmx-stream (engine, report accumulators, and the
-# driver's reader loop, worker pool and emitter) must stay symbol-native. Unit identity
-# is a compact UnitKey fed to the PRF incrementally; textual ids are
-# rendered only by UnitKey::display for marked units; record
-# mini-documents and wrapper tags are assembled with push_str or concat
-# into pre-sized buffers. A `format!` creeping back into the non-test region
+# driver's reader loop, worker pool and emitter) must stay symbol-native.
+# Unit identity is a compact UnitKey fed to the PRF incrementally; textual
+# ids are rendered only by UnitKey::display for marked units; record
+# mini-documents and wrapper tags are assembled with push_str into
+# pre-sized buffers. A `format!` creeping back into the non-test region
 # of these files would put a per-unit (or per-record) allocation on the
 # hottest loop, so CI denies it here (tests below `#[cfg(test)]` are
 # exempt). The streaming engine additionally must never parse a query
