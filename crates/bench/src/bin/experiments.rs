@@ -18,7 +18,6 @@
 //!   e4  re-organization attack (demo attack C, Fig. 1/2)
 //!   e5  redundancy removal (demo attack D, challenge C)
 //!   e6  false positives / key security
-//!   e7  throughput & scalability
 //!   e8  structure units vs value units (ablation: fragility to reordering)
 //!   e9  γ / τ ablation (selection density vs robustness)
 //!   e10 rounding attack (documented robustness limit of parity marks)
@@ -95,9 +94,6 @@ fn main() {
     }
     if want("e6") {
         e6_false_positives();
-    }
-    if want("e7") {
-        e7_throughput();
     }
     if want("e8") {
         e8_structure_units();
@@ -247,9 +243,9 @@ fn e1_capacity_and_imperceptibility() {
         });
         // WmXML units over year only (to compare like with like).
         let cfg = EncoderConfig::new(1, vec![MarkableAttr::integer("book", "year", 1)]);
-        let table = wmx_core::SelectionTable::build(&cfg, &[]);
-        let units = wmx_core::enumerate_units(&dataset.doc, &dataset.binding, &[], &cfg, &table)
-            .expect("enumerate")
+        let units = wmx_core::SelectionPlan::compile(&dataset.binding, &[], &cfg)
+            .expect("plan compiles")
+            .execute(&dataset.doc)
             .len();
         let mut scratch = dataset.doc.clone();
         let baseline = baseline_embed(
@@ -576,81 +572,6 @@ fn e6_false_positives() {
         pct(max),
         "-".into(),
     ]);
-    t.print();
-}
-
-// ---------------------------------------------------------------------
-// E7 — throughput & scalability
-// ---------------------------------------------------------------------
-fn e7_throughput() {
-    println!("\n[E7] throughput — parse / embed / detect wall-times (single run;");
-    println!("see `cargo bench` for statistically rigorous numbers)\n");
-    let mut t = Table::new(&[
-        "records",
-        "doc KB",
-        "parse ms",
-        "embed ms",
-        "detect ms",
-        "queries",
-    ]);
-    let sizes: &[usize] = if SMOKE.load(Ordering::Relaxed) {
-        &[250, 500]
-    } else {
-        &[250, 500, 1000, 2000, 4000]
-    };
-    for &records in sizes {
-        let dataset = publications::generate(&publications::PublicationsConfig {
-            records,
-            editors: records / 50 + 2,
-            seed: 70,
-            gamma: 3,
-        });
-        let text = wmx_xml::to_string(&dataset.doc);
-        let kb = text.len() / 1024;
-
-        let start = Instant::now();
-        let parsed = wmx_xml::parse(&text).expect("reparse");
-        let parse_ms = start.elapsed().as_secs_f64() * 1000.0;
-        drop(parsed);
-
-        let key = SecretKey::from_passphrase("e7");
-        let wm = Watermark::from_message("e7", 24);
-        let mut marked = dataset.doc.clone();
-        let start = Instant::now();
-        let report = embed(
-            &mut marked,
-            &dataset.binding,
-            &dataset.fds,
-            &dataset.config,
-            &key,
-            &wm,
-        )
-        .expect("embed");
-        let embed_ms = start.elapsed().as_secs_f64() * 1000.0;
-
-        let start = Instant::now();
-        let d = detect(
-            &marked,
-            &DetectionInput {
-                queries: &report.queries,
-                key,
-                watermark: wm,
-                threshold: THRESHOLD,
-                mapping: None,
-            },
-        );
-        let detect_ms = start.elapsed().as_secs_f64() * 1000.0;
-        assert!(d.detected);
-
-        t.row(vec![
-            records.to_string(),
-            kb.to_string(),
-            format!("{parse_ms:.1}"),
-            format!("{embed_ms:.1}"),
-            format!("{detect_ms:.1}"),
-            report.queries.len().to_string(),
-        ]);
-    }
     t.print();
 }
 

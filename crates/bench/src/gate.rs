@@ -382,35 +382,23 @@ pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, TJson) {
     });
     throughput.push(ThroughputStat::from_measurement("query_eval", &m));
 
-    // Symbol-native unit selection in isolation: enumerate every
-    // markable unit and run the keyed PRF selection over its compact
-    // key — the shared front half of embed and streaming detect.
-    // records_per_iter is the unit count, so `records_per_s` reads as
-    // units selected per second.
-    let table = wmx_core::SelectionTable::build(&w.dataset.config, &w.dataset.fds);
-    let unit_count = wmx_core::enumerate_units(
-        &w.marked,
-        &w.dataset.binding,
-        &w.dataset.fds,
-        &w.dataset.config,
-        &table,
-    )
-    .expect("suite enumerates")
-    .len() as u64;
+    // Symbol-native unit selection in isolation: execute the compiled
+    // selection plan and run the keyed PRF selection over every unit's
+    // compact key — the shared front half of embed and streaming
+    // detect. records_per_iter is the unit count, so `records_per_s`
+    // reads as units selected per second.
+    let plan =
+        wmx_core::SelectionPlan::compile(&w.dataset.binding, &w.dataset.fds, &w.dataset.config)
+            .expect("suite plan compiles");
+    let table = plan.table();
+    let unit_count = plan.execute(&w.marked).len() as u64;
     assert!(unit_count > 0, "suite workload has units");
     let marker = wmx_core::UnitMarker::new(w.key.clone());
     let m = Measurement::run(&mcfg, input_bytes, unit_count, || {
-        let units = wmx_core::enumerate_units(
-            &w.marked,
-            &w.dataset.binding,
-            &w.dataset.fds,
-            &w.dataset.config,
-            &table,
-        )
-        .expect("suite enumerates");
+        let units = plan.execute(&w.marked);
         let selected = units
             .iter()
-            .filter(|u| marker.is_selected(&u.key.id(&table), w.dataset.config.gamma))
+            .filter(|u| marker.is_selected(&u.key.id(table), w.dataset.config.gamma))
             .count();
         assert!(selected > 0, "selection must pick units at gamma");
     });
@@ -620,21 +608,17 @@ fn forensics_grid(
     // flips the parity mark) and demand that the suspect records the
     // forensic pass flags are exactly the damaged ones.
     {
-        let table = wmx_core::SelectionTable::build(&w.dataset.config, &w.dataset.fds);
-        let units = wmx_core::enumerate_units(
-            &w.marked,
-            &w.dataset.binding,
-            &w.dataset.fds,
-            &w.dataset.config,
-            &table,
-        )
-        .expect("forensic enumerate");
+        let plan =
+            wmx_core::SelectionPlan::compile(&w.dataset.binding, &w.dataset.fds, &w.dataset.config)
+                .expect("forensic plan compiles");
+        let table = plan.table();
+        let units = plan.execute(&w.marked);
         let marker = wmx_core::UnitMarker::new(w.key.clone());
         let mut doc = w.marked.clone();
         let mut damaged: BTreeSet<String> = BTreeSet::new();
         let mut numeric_seen = 0usize;
         for unit in &units {
-            if !marker.is_selected(&unit.key.id(&table), w.dataset.config.gamma) {
+            if !marker.is_selected(&unit.key.id(table), w.dataset.config.gamma) {
                 continue;
             }
             let Ok(year) = unit.nodes[0].string_value(&doc).parse::<i64>() else {
@@ -646,7 +630,7 @@ fn forensics_grid(
             }
             wmx_core::write_value(&mut doc, &unit.nodes[0], &(year + 7).to_string())
                 .expect("damage year");
-            damaged.insert(unit.key.record_scope(&table));
+            damaged.insert(unit.key.record_scope(table));
         }
         assert!(!damaged.is_empty(), "localize scenario must damage records");
         let d = detect_forensic(

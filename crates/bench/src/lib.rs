@@ -1,7 +1,7 @@
 //! Shared workload setup, table rendering, and the perf/robustness
 //! telemetry subsystem (measurement runtime, BENCH report schema,
 //! baseline store, regression gate) for the experiment harness and the
-//! Criterion benches.
+//! `gate` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

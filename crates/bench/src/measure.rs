@@ -1,8 +1,8 @@
-//! Criterion-free measurement runtime for the telemetry reports.
+//! Measurement runtime for the telemetry reports.
 //!
-//! Criterion (and its vendored shim) prints human-oriented summaries;
-//! the regression gate instead needs raw numbers it can serialize and
-//! compare. This module provides warmup/iteration control, wall-clock
+//! The regression gate needs raw numbers it can serialize and compare,
+//! not human-oriented summaries. This module provides
+//! warmup/iteration control, wall-clock
 //! percentiles, MB/s and records/s throughput derived from the median
 //! iteration, and a peak-RSS probe.
 

@@ -6,7 +6,7 @@ use wmx_data::publications::{generate, PublicationsConfig};
 use wmx_data::Dataset;
 use wmx_xml::Document;
 
-/// A marked publications workload shared by experiments and benches.
+/// A marked publications workload shared by the experiments and the gate.
 pub struct MarkedWorkload {
     /// The dataset (original document + semantics).
     pub dataset: Dataset,
@@ -59,7 +59,7 @@ pub fn marked_publications(
 }
 
 /// A serialized publications document plus everything the streaming
-/// engine needs — shared by the streaming bench and experiment E11.
+/// engine needs — shared by the gate and experiment E11.
 pub struct StreamingWorkload {
     /// The dataset (semantics: binding, FDs, config).
     pub dataset: Dataset,

@@ -82,9 +82,9 @@ pub fn embed(
     } else {
         watermark
     };
-    // The compiled plan replays `enumerate_units` with its name
-    // lookups and query parsing hoisted to (cached) compile time;
-    // `plan_equivalence.rs` pins the bit-for-bit agreement.
+    // Units come from the compiled plan: name lookups and query
+    // parsing happen once, at (cached) compile time;
+    // `plan_equivalence.rs` pins it to an interpretive oracle.
     let plan = {
         let _s = wmx_telemetry::span("embed.plan");
         global_plan_cache().get_or_compile(binding, fds, config)?

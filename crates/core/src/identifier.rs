@@ -1,6 +1,7 @@
-//! Identifier creation (§2.3): enumerating markable units and building
-//! their identity keys and queries from keys and functional
-//! dependencies.
+//! Identifier creation (§2.3): the identity keys and identity queries
+//! of markable units, built from keys and functional dependencies. The
+//! units themselves are enumerated by a compiled
+//! [`SelectionPlan`](crate::plan::SelectionPlan).
 //!
 //! The three criteria of §2.3, and how this module meets them:
 //!
@@ -34,13 +35,12 @@
 
 use crate::config::EncoderConfig;
 use crate::WmError;
-use std::collections::{HashMap, HashSet};
 use wmx_crypto::{HmacSha256, PrfInput};
 use wmx_rewrite::{LogicalQuery, SchemaBinding};
-use wmx_schema::{discover_groups_with, DataType, Fd};
-use wmx_xml::{Document, Interner, Sym};
+use wmx_schema::{DataType, Fd};
+use wmx_xml::{Interner, Sym};
 use wmx_xpath::ast::Expr;
-use wmx_xpath::{Evaluator, NodeRef, Query};
+use wmx_xpath::{NodeRef, Query};
 
 /// What kind of unit a [`UnitKey`] identifies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -121,38 +121,6 @@ pub struct UnitKey {
 const LHS_SEPARATOR: &str = "\u{1f}";
 
 impl UnitKey {
-    fn key_attr(table: &SelectionTable, entity: &str, key_value: String, attr: &str) -> UnitKey {
-        UnitKey {
-            tag: UnitTag::KeyAttr,
-            name: table.lookup(entity),
-            attr: Some(table.lookup(attr)),
-            values: Box::new([key_value.into()]),
-        }
-    }
-
-    fn sibling_order(
-        table: &SelectionTable,
-        entity: &str,
-        key_value: String,
-        attr: &str,
-    ) -> UnitKey {
-        UnitKey {
-            tag: UnitTag::SiblingOrder,
-            name: table.lookup(entity),
-            attr: Some(table.lookup(attr)),
-            values: Box::new([key_value.into()]),
-        }
-    }
-
-    fn fd_group(table: &SelectionTable, fd_name: &str, lhs: Vec<String>) -> UnitKey {
-        UnitKey {
-            tag: UnitTag::FdGroup,
-            name: table.lookup(fd_name),
-            attr: None,
-            values: lhs.into_iter().map(Into::into).collect(),
-        }
-    }
-
     /// The PRF input view of this key: feeds the byte sequence of
     /// [`UnitKey::display`] into the MAC without materializing it.
     pub fn id<'a>(&'a self, table: &'a SelectionTable) -> UnitId<'a> {
@@ -300,158 +268,6 @@ impl MarkUnit {
     }
 }
 
-/// Enumerates all markable units of `doc` under `binding`, honouring
-/// `config` (markable attributes, FD-group switch) and `fds`. `table`
-/// must be built from the same `config`/`fds`
-/// ([`SelectionTable::build`]); the streaming engine builds it once and
-/// reuses it for every record.
-///
-/// # Errors
-/// Fails if a markable attribute is an entity key (keys identify units
-/// and must stay unperturbed), or if bindings/queries are inconsistent.
-pub fn enumerate_units(
-    doc: &Document,
-    binding: &SchemaBinding,
-    fds: &[Fd],
-    config: &EncoderConfig,
-    table: &SelectionTable,
-) -> Result<Vec<MarkUnit>, WmError> {
-    let mut units = Vec::new();
-    let mut fd_covered: HashSet<NodeRef> = HashSet::new();
-    // One evaluator for the whole enumeration: every per-instance
-    // key/attribute access shares its memoized symbol resolutions.
-    let evaluator = Evaluator::new(doc);
-
-    if config.use_fd_groups {
-        units.extend(fd_group_units(
-            &evaluator,
-            binding,
-            fds,
-            config,
-            table,
-            &mut fd_covered,
-        )?);
-    }
-
-    // Structure units: sibling order of multi-valued attributes.
-    for structural in &config.structural {
-        let Some(entity) = binding.entity(&structural.entity) else {
-            return Err(WmError::new(format!(
-                "structural attribute {}/{} references an entity not bound by {}",
-                structural.entity, structural.attr, binding.name
-            )));
-        };
-        if entity.attr(&structural.attr).is_none() {
-            return Err(WmError::new(format!(
-                "structural attribute {}/{} is not bound by {}",
-                structural.entity, structural.attr, binding.name
-            )));
-        }
-        for instance in entity.instances_with(&evaluator) {
-            let Some(key_value) = entity.key_of_with(&evaluator, &instance) else {
-                continue;
-            };
-            let nodes = entity.attr_nodes_with(&evaluator, &instance, &structural.attr);
-            // An order bit needs at least two distinct sibling values.
-            if nodes.len() < 2 {
-                continue;
-            }
-            units.push(MarkUnit {
-                key: UnitKey::sibling_order(table, &structural.entity, key_value, &structural.attr),
-                nodes,
-                mark: MarkKind::SiblingOrder,
-            });
-        }
-    }
-
-    // Key-identified per-entity units.
-    for markable in &config.markable {
-        let Some(entity) = binding.entity(&markable.entity) else {
-            return Err(WmError::new(format!(
-                "markable attribute {}/{} references an entity not bound by {}",
-                markable.entity, markable.attr, binding.name
-            )));
-        };
-        if markable.attr == entity.key_attr {
-            return Err(WmError::new(format!(
-                "attribute {}/{} is the entity key and cannot carry marks",
-                markable.entity, markable.attr
-            )));
-        }
-        if entity.attr(&markable.attr).is_none() {
-            return Err(WmError::new(format!(
-                "markable attribute {}/{} is not bound by {}",
-                markable.entity, markable.attr, binding.name
-            )));
-        }
-        for instance in entity.instances_with(&evaluator) {
-            let Some(key_value) = entity.key_of_with(&evaluator, &instance) else {
-                continue; // keyless instances cannot be identified
-            };
-            let nodes: Vec<NodeRef> = entity
-                .attr_nodes_with(&evaluator, &instance, &markable.attr)
-                .into_iter()
-                .filter(|n| !fd_covered.contains(n))
-                .collect();
-            if nodes.is_empty() {
-                continue;
-            }
-            units.push(MarkUnit {
-                key: UnitKey::key_attr(table, &markable.entity, key_value, &markable.attr),
-                nodes,
-                mark: MarkKind::Value(markable.data_type),
-            });
-        }
-    }
-    Ok(units)
-}
-
-/// Builds FD-group units and records which value nodes they cover.
-fn fd_group_units(
-    evaluator: &Evaluator<'_>,
-    binding: &SchemaBinding,
-    fds: &[Fd],
-    config: &EncoderConfig,
-    table: &SelectionTable,
-    fd_covered: &mut HashSet<NodeRef>,
-) -> Result<Vec<MarkUnit>, WmError> {
-    let mut units = Vec::new();
-    if fds.is_empty() {
-        return Ok(units);
-    }
-    // The markable declaration backing each FD depends only on the
-    // configuration — resolve it once per FD, not once per group (the
-    // per-group path used to render both query texts per comparison).
-    let fd_markable: HashMap<&str, &crate::config::MarkableAttr> = fds
-        .iter()
-        .filter_map(|fd| {
-            markable_for_fd(binding, fds, &fd.name, config).map(|m| (fd.name.as_str(), m))
-        })
-        .collect();
-    let groups = discover_groups_with(evaluator, fds);
-    for group in groups {
-        // The FD's dependent must correspond to a markable attribute so
-        // we know its type/tolerance; otherwise the group is not marked.
-        let Some(markable) = fd_markable.get(group.fd_name.as_str()) else {
-            continue;
-        };
-        // All group members carry the mark, even singleton groups: the
-        // unit identity must not depend on how many duplicates exist.
-        if group.members.is_empty() {
-            continue;
-        }
-        for n in &group.members {
-            fd_covered.insert(n.clone());
-        }
-        units.push(MarkUnit {
-            key: UnitKey::fd_group(table, &group.fd_name, group.lhs),
-            nodes: group.members,
-            mark: MarkKind::Value(markable.data_type),
-        });
-    }
-    Ok(units)
-}
-
 /// Finds the markable declaration whose bound access path equals the
 /// FD's dependent path (the FD is expressed physically, markables
 /// logically; the binding connects them).
@@ -542,8 +358,9 @@ fn fd_group_query(fd: &Fd, lhs_values: &[Box<str>]) -> Result<Query, WmError> {
 mod tests {
     use super::*;
     use crate::config::MarkableAttr;
+    use crate::plan::SelectionPlan;
     use wmx_rewrite::binding::{AttrBinding, EntityBinding};
-    use wmx_xml::parse;
+    use wmx_xml::{parse, Document};
 
     fn doc() -> Document {
         parse(
@@ -578,14 +395,24 @@ mod tests {
         Fd::new("editor-publisher", "/db/book", &["editor"], &["@publisher"]).unwrap()
     }
 
+    /// Compiles a plan and runs it over `doc`, the path embed and
+    /// detect take; compile-time rejections surface as the error.
+    fn select(
+        doc: &Document,
+        binding: &SchemaBinding,
+        fds: &[Fd],
+        config: &EncoderConfig,
+    ) -> Result<(SelectionTable, Vec<MarkUnit>), WmError> {
+        let plan = SelectionPlan::compile(binding, fds, config)?;
+        Ok((plan.table().clone(), plan.execute(doc)))
+    }
+
     fn enumerate(
         doc: &Document,
         fds: &[Fd],
         config: &EncoderConfig,
     ) -> Result<(SelectionTable, Vec<MarkUnit>), WmError> {
-        let table = SelectionTable::build(config, fds);
-        let units = enumerate_units(doc, &binding(), fds, config, &table)?;
-        Ok((table, units))
+        select(doc, &binding(), fds, config)
     }
 
     fn unit_ids(table: &SelectionTable, units: &[MarkUnit]) -> Vec<String> {
@@ -706,12 +533,8 @@ mod tests {
         let root = d2.root_element().unwrap();
         d2.reorder_children(root, &[2, 0, 1]);
         let keys = |d: &Document| -> std::collections::BTreeSet<UnitKey> {
-            let table = SelectionTable::build(&config, &[]);
-            enumerate_units(d, &binding(), &[], &config, &table)
-                .unwrap()
-                .into_iter()
-                .map(|u| u.key)
-                .collect()
+            let (_, units) = enumerate(d, &[], &config).unwrap();
+            units.into_iter().map(|u| u.key).collect()
         };
         assert_eq!(keys(&d1), keys(&d2));
     }
@@ -739,13 +562,24 @@ mod tests {
         let fds = [editor_publisher_fd()];
         let table = SelectionTable::build(&config, &fds);
         let keys = [
-            UnitKey::key_attr(&table, "book", "A|odd".into(), "year"),
-            UnitKey::sibling_order(&table, "book", "K".into(), "author"),
-            UnitKey::fd_group(
-                &table,
-                "editor-publisher",
-                vec!["Potter".into(), "Second".into()],
-            ),
+            UnitKey {
+                tag: UnitTag::KeyAttr,
+                name: table.lookup("book"),
+                attr: Some(table.lookup("year")),
+                values: Box::new(["A|odd".into()]),
+            },
+            UnitKey {
+                tag: UnitTag::SiblingOrder,
+                name: table.lookup("book"),
+                attr: Some(table.lookup("author")),
+                values: Box::new(["K".into()]),
+            },
+            UnitKey {
+                tag: UnitTag::FdGroup,
+                name: table.lookup("editor-publisher"),
+                attr: None,
+                values: Box::new(["Potter".into(), "Second".into()]),
+            },
         ];
         let prf = wmx_crypto::Prf::new(wmx_crypto::SecretKey::from_passphrase("bytes"));
         for key in &keys {
@@ -803,15 +637,7 @@ mod tests {
     fn enumerate_authors(
         config: &EncoderConfig,
     ) -> Result<(SelectionTable, Vec<MarkUnit>), WmError> {
-        let table = SelectionTable::build(config, &[]);
-        let units = enumerate_units(
-            &doc_multi_author(),
-            &binding_with_author(),
-            &[],
-            config,
-            &table,
-        )?;
-        Ok((table, units))
+        select(&doc_multi_author(), &binding_with_author(), &[], config)
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! 1. **Initialization** — validate the document, take usability
 //!    [query templates](template), [keys and FDs](wmx_schema), a secret
 //!    key, and a multi-bit [watermark](wm). Enumerate
-//!    [markable units](identifier) — entity attribute values identified
-//!    by keys, and FD-redundancy groups identified by determinant tuples —
-//!    and build an identity query per unit.
+//!    [markable units](plan) — entity attribute values identified by
+//!    [keys](identifier), and FD-redundancy groups identified by
+//!    determinant tuples — and build an identity query per unit.
 //! 2. **Insertion** ([encoder]) — a keyed PRF selects one unit in γ and
 //!    assigns each selected unit a watermark bit index; the embedding
 //!    [plug-in](embed) for the unit's data type writes the bit into the
@@ -52,7 +52,7 @@ pub use forensics::{
     detect_forensic, finalize_forensic_report, ForensicContext, ForensicTallies, ForensicsReport,
     RecordForensics, UnitForensics, UnitStatus,
 };
-pub use identifier::{enumerate_units, MarkKind, MarkUnit, SelectionTable, UnitKey, UnitTag};
+pub use identifier::{MarkKind, MarkUnit, SelectionTable, UnitKey, UnitTag};
 pub use nodectx::{DomNodes, DomNodesMut, NodeCtx, NodeCtxMut, UnitMarker, UnitVotes};
 pub use plan::{global_plan_cache, PlanCache, SelectionPlan};
 pub use recovery::{

@@ -1,15 +1,12 @@
-//! Compiled selection plans: the per-run form of unit enumeration.
+//! Compiled selection plans: unit enumeration (§2.3).
 //!
-//! [`enumerate_units`] re-derives everything from the configuration on
-//! every call: name → [`Sym`] lookups per unit, markable↔FD matching
-//! (which renders and compares query texts) per call, and attribute
-//! accesses through `BTreeMap` lookups per instance. That is invisible
-//! for one DOM pass but dominates the streaming engine, which
-//! enumerates per *record*. A [`SelectionPlan`] hoists all of it to
-//! compile time — pre-resolved symbols, pre-cloned compiled
-//! instance/key/attribute queries, pre-matched FD backing — so
-//! [`SelectionPlan::execute`] runs against each record with zero name
-//! lookups and zero query parsing.
+//! A [`SelectionPlan`] does at compile time everything that does not
+//! depend on the document: name → [`Sym`] resolution, markable↔FD
+//! matching (which renders and compares query texts), and cloning the
+//! compiled instance/key/attribute queries. [`SelectionPlan::execute`]
+//! then runs against each document or streamed record with zero name
+//! lookups and zero query parsing. DOM embed, DOM detect and every
+//! streaming engine select their units through a plan.
 //!
 //! Plans are immutable and shareable (`Sync`); the [`PlanCache`] keys
 //! them by a canonical schema description (hashed to
@@ -19,18 +16,19 @@
 //!
 //! # Equivalence contract
 //!
-//! `plan.execute(doc)` returns exactly the units
-//! `enumerate_units(doc, …)` returns — same order, same [`UnitKey`]s,
-//! same nodes, same [`MarkKind`]s — and `plan.table()` assigns the same
-//! symbols as `SelectionTable::build` on the same inputs. Selection,
-//! bit indices, nonces, and vote tallies are therefore bit-for-bit
-//! identical to the legacy path; `tests/plan_equivalence.rs` enforces
-//! this across corpora and adversarial documents.
+//! `plan.execute(doc)` returns the units a direct reading of the
+//! configuration yields — FD-group units, then structural units, then
+//! key-identified units; same ids, same nodes, same [`MarkKind`]s — and
+//! `plan.table()` assigns the same symbols as `SelectionTable::build`
+//! on the same inputs. [`SelectionPlan::compile`] rejects invalid
+//! configurations with the messages that reading reports. An
+//! independent interpretive enumerator in
+//! `tests/tests/plan_equivalence.rs` is the oracle for this contract,
+//! checked across corpora and adversarial documents down to the PRF
+//! byte stream (selection, bit indices, nonces, whitening).
 
 use crate::config::EncoderConfig;
-use crate::identifier::{
-    enumerate_units, markable_for_fd, MarkKind, MarkUnit, SelectionTable, UnitKey, UnitTag,
-};
+use crate::identifier::{markable_for_fd, MarkKind, MarkUnit, SelectionTable, UnitKey, UnitTag};
 use crate::WmError;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -113,10 +111,9 @@ pub struct SelectionPlan {
     schema_hash: u64,
     gamma: u32,
     /// FDs that are backed by a markable attribute, in declaration
-    /// order. Legacy enumeration discovers groups for *all* FDs and
-    /// skips unbacked ones before they touch `fd_covered`, so
-    /// discovering over this filtered list yields the identical unit
-    /// list.
+    /// order. Groups of unbacked FDs carry no mark and cover no nodes,
+    /// so discovering groups over this filtered list alone yields the
+    /// same units as discovering over all FDs.
     fds: Vec<Fd>,
     /// FD name → (interned name, data type of the backing markable).
     fd_info: HashMap<String, (Sym, DataType)>,
@@ -125,8 +122,11 @@ pub struct SelectionPlan {
 }
 
 impl SelectionPlan {
-    /// Compiles `binding`/`fds`/`config` into a plan, performing all
-    /// the validation `enumerate_units` does (same errors, same order).
+    /// Compiles `binding`/`fds`/`config` into a plan. Every
+    /// configuration error surfaces here, structural declarations
+    /// checked before markable ones: an entity key declared markable,
+    /// or a declaration naming an entity or attribute the binding does
+    /// not bind.
     pub fn compile(
         binding: &SchemaBinding,
         fds: &[Fd],
@@ -204,9 +204,10 @@ impl SelectionPlan {
         self.gamma
     }
 
-    /// Enumerates the markable units of `doc` — exactly what
-    /// `enumerate_units` returns under the plan's inputs. Infallible:
-    /// all validation happened in [`SelectionPlan::compile`].
+    /// Enumerates the markable units of `doc`: FD-group units, then
+    /// structural units, then key-identified units, each in document
+    /// order. Infallible: all validation happened in
+    /// [`SelectionPlan::compile`].
     pub fn execute(&self, doc: &Document) -> Vec<MarkUnit> {
         self.execute_with(&Evaluator::new(doc))
     }
@@ -288,29 +289,6 @@ impl SelectionPlan {
             }
         }
         units
-    }
-
-    /// Debug-build cross-check against the legacy enumerator; used by
-    /// tests that want both paths from one entry point.
-    pub fn matches_legacy(
-        &self,
-        doc: &Document,
-        binding: &SchemaBinding,
-        fds: &[Fd],
-        config: &EncoderConfig,
-    ) -> bool {
-        let table = SelectionTable::build(config, fds);
-        match enumerate_units(doc, binding, fds, config, &table) {
-            Ok(legacy) => {
-                let planned = self.execute(doc);
-                planned.len() == legacy.len()
-                    && planned
-                        .iter()
-                        .zip(&legacy)
-                        .all(|(p, l)| p.key == l.key && p.nodes == l.nodes && p.mark == l.mark)
-            }
-            Err(_) => false,
-        }
     }
 }
 
@@ -468,19 +446,6 @@ mod tests {
     use super::*;
     use crate::config::MarkableAttr;
     use wmx_rewrite::binding::{AttrBinding, EntityBinding};
-    use wmx_xml::parse;
-
-    fn doc() -> Document {
-        parse(
-            r#"<db>
-                <book publisher="mkp"><title>A</title><editor>Potter</editor><year>1998</year></book>
-                <book publisher="mkp"><title>B</title><editor>Potter</editor><year>2000</year></book>
-                <book publisher="acm"><title>C</title><editor>Gamer</editor><year>2002</year></book>
-            </db>"#,
-        )
-        .unwrap()
-    }
-
     fn binding() -> SchemaBinding {
         SchemaBinding::new(
             "db1",
@@ -501,36 +466,6 @@ mod tests {
 
     fn fd() -> Fd {
         Fd::new("editor-publisher", "/db/book", &["editor"], &["@publisher"]).unwrap()
-    }
-
-    #[test]
-    fn plan_matches_legacy_enumeration() {
-        let config = EncoderConfig::new(
-            2,
-            vec![
-                MarkableAttr::integer("book", "year", 1),
-                MarkableAttr::text("book", "publisher"),
-            ],
-        );
-        let fds = [fd()];
-        let plan = SelectionPlan::compile(&binding(), &fds, &config).unwrap();
-        assert!(plan.matches_legacy(&doc(), &binding(), &fds, &config));
-    }
-
-    #[test]
-    fn plan_validation_matches_legacy_errors() {
-        // Marking the entity key is rejected with the same message.
-        let config = EncoderConfig::new(1, vec![MarkableAttr::text("book", "title")]);
-        let err = SelectionPlan::compile(&binding(), &[], &config).unwrap_err();
-        assert!(err.message.contains("entity key"));
-        // Unbound markable attribute / entity.
-        let config = EncoderConfig::new(1, vec![MarkableAttr::integer("book", "isbn", 1)]);
-        assert!(SelectionPlan::compile(&binding(), &[], &config).is_err());
-        let config = EncoderConfig::new(1, vec![MarkableAttr::integer("journal", "year", 1)]);
-        assert!(SelectionPlan::compile(&binding(), &[], &config).is_err());
-        // Unbound structural attribute.
-        let config = EncoderConfig::new(1, vec![]).with_structural("book", "translator");
-        assert!(SelectionPlan::compile(&binding(), &[], &config).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use wmx_xml::Document;
 use wmx_xpath::ast::{Expr, PathExpr};
 use wmx_xpath::parser::parse_path;
-use wmx_xpath::{Evaluator, NodeRef, Query};
+use wmx_xpath::{NodeRef, Query};
 
 /// How a logical attribute is reached from an entity instance node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +45,9 @@ impl AttrBinding {
 /// query, one query per bound attribute, and the parsed path prototypes
 /// identity queries are assembled from. The per-instance accessors
 /// ([`EntityBinding::attr_nodes`], [`EntityBinding::key_of`], …) reuse
-/// those compiled forms — the unit-enumeration hot path never re-parses
-/// a path text.
+/// those compiled forms, and compiled selection plans clone them
+/// ([`EntityBinding::instance_query`], [`EntityBinding::attr_query`]) —
+/// unit enumeration never re-parses a path text.
 #[derive(Debug, Clone)]
 pub struct EntityBinding {
     /// Logical entity name, e.g. `"book"`.
@@ -122,11 +123,6 @@ impl EntityBinding {
         self.instance_query.select(doc)
     }
 
-    /// All instances, evaluated through a shared [`Evaluator`].
-    pub fn instances_with(&self, evaluator: &Evaluator<'_>) -> Vec<NodeRef> {
-        self.instance_query.select_with(evaluator)
-    }
-
     /// The compiled instance query (selects all entity instances).
     /// Compiled selection plans clone this instead of re-parsing
     /// `instance_path`, so plan and binding agree by construction.
@@ -196,20 +192,6 @@ impl EntityBinding {
         }
     }
 
-    /// Value nodes of a logical attribute, evaluated through a shared
-    /// [`Evaluator`].
-    pub fn attr_nodes_with(
-        &self,
-        evaluator: &Evaluator<'_>,
-        instance: &NodeRef,
-        name: &str,
-    ) -> Vec<NodeRef> {
-        match self.attr_query_or_compile(name) {
-            Some(q) => q.select_from_with(evaluator, instance.clone()),
-            None => Vec::new(),
-        }
-    }
-
     /// First value of a logical attribute for one instance.
     pub fn attr_value(&self, doc: &Document, instance: &NodeRef, name: &str) -> Option<String> {
         self.attr_nodes(doc, instance, name)
@@ -228,14 +210,6 @@ impl EntityBinding {
     /// The key value of one instance.
     pub fn key_of(&self, doc: &Document, instance: &NodeRef) -> Option<String> {
         self.attr_value(doc, instance, &self.key_attr)
-    }
-
-    /// The key value of one instance, evaluated through a shared
-    /// [`Evaluator`].
-    pub fn key_of_with(&self, evaluator: &Evaluator<'_>, instance: &NodeRef) -> Option<String> {
-        self.attr_nodes_with(evaluator, instance, &self.key_attr)
-            .first()
-            .map(|n| n.string_value(evaluator.document()))
     }
 }
 
@@ -432,8 +406,7 @@ mod tests {
             book.attr_value(&doc, &instances[0], "ed").unwrap(),
             "Harrypotter"
         );
-        let ev = Evaluator::new(&doc);
-        assert_eq!(book.attr_nodes_with(&ev, &instances[1], "ed").len(), 1);
+        assert_eq!(book.attr_nodes(&doc, &instances[1], "ed").len(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A hand-rolled JSON value, writer, and reader.
 //!
 //! The build environment has no crates.io access, so — like the vendored
-//! `rand`/`criterion` shims — serialization is implemented in-tree. The
+//! `rand`/`proptest` shims — serialization is implemented in-tree. The
 //! subset is exactly what the BENCH report and telemetry snapshot
 //! schemas need: objects keep insertion order, numbers are `f64`
 //! (integers round-trip exactly up to 2^53), and strings support the

@@ -8,9 +8,8 @@ use wmx_attacks::{
     RenameAttack, ShuffleAttack,
 };
 use wmx_core::{
-    detect, detect_forensic, embed, enumerate_units, measure_usability, repair_document,
-    write_value, DetectionInput, EmbedReport, ForensicContext, SelectionTable, UnitMarker,
-    UnitStatus, Watermark,
+    detect, detect_forensic, embed, measure_usability, repair_document, write_value,
+    DetectionInput, EmbedReport, ForensicContext, SelectionPlan, UnitMarker, UnitStatus, Watermark,
 };
 use wmx_crypto::SecretKey;
 use wmx_data::publications::{generate, PublicationsConfig};
@@ -347,21 +346,15 @@ fn forensics_localize_targeted_damage_to_the_exact_records() {
 
     // Flip the parity of every 12th selected numeric unit (+7 always
     // crosses parity), remembering exactly which records were hit.
-    let table = SelectionTable::build(&dataset.config, &dataset.fds);
-    let units = enumerate_units(
-        &marked,
-        &dataset.binding,
-        &dataset.fds,
-        &dataset.config,
-        &table,
-    )
-    .unwrap();
+    let plan = SelectionPlan::compile(&dataset.binding, &dataset.fds, &dataset.config).unwrap();
+    let table = plan.table();
+    let units = plan.execute(&marked);
     let marker = UnitMarker::new(key.clone());
     let mut attacked = marked.clone();
     let mut damaged: BTreeSet<String> = BTreeSet::new();
     let mut numeric = 0usize;
     for unit in &units {
-        if !marker.is_selected(&unit.key.id(&table), dataset.config.gamma) {
+        if !marker.is_selected(&unit.key.id(table), dataset.config.gamma) {
             continue;
         }
         let Ok(year) = unit.nodes[0].string_value(&attacked).parse::<i64>() else {
@@ -372,7 +365,7 @@ fn forensics_localize_targeted_damage_to_the_exact_records() {
             continue;
         }
         write_value(&mut attacked, &unit.nodes[0], &(year + 7).to_string()).unwrap();
-        damaged.insert(unit.key.record_scope(&table));
+        damaged.insert(unit.key.record_scope(table));
     }
     assert!(damaged.len() >= 3, "need a non-trivial damage set");
 

@@ -1,33 +1,37 @@
-//! Compiled-plan ≡ legacy-enumeration equivalence suite: the
+//! Compiled-plan ≡ interpretive-oracle equivalence suite: the
 //! [`wmx_core::SelectionPlan`] layer (pre-resolved symbols, pre-compiled
 //! access steps, cached per schema) must make bit-for-bit the same
-//! decisions as interpreting the schema per call with
-//! [`wmx_core::enumerate_units`], and batch detection must locate
-//! exactly the nodes per-query evaluation locates.
+//! decisions as [`oracle_units`], an enumerator private to this suite
+//! that interprets the schema afresh on every call, and batch detection
+//! must locate exactly the nodes per-query evaluation locates.
 //!
 //! * Over generated corpora and adversarial proptest documents, plan
-//!   execution yields the same unit sequence — same keys, same nodes,
+//!   execution yields the same unit sequence — same ids, same nodes,
 //!   same marks — and the same PRF byte stream (selection, bit index,
-//!   nonce, whitening) as the legacy path.
+//!   nonce, whitening) as the oracle's textual ids.
+//! * Plan compilation rejects exactly the configurations the oracle
+//!   rejects, with the same message.
 //! * A plan-cache hit returns the very same compiled plan a cold
 //!   compile produces, and reusing it changes nothing.
 //! * Batched stored-query evaluation ([`wmx_xpath::batch_select`])
 //!   returns the same node lists as one-query-at-a-time evaluation.
 //! * End to end, DOM detection and streaming detection — both running
-//!   on compiled plans now — tally identical votes and verdicts.
+//!   on compiled plans — tally identical votes and verdicts.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use wmx_core::{
-    detect, embed, enumerate_units, DetectionInput, EncoderConfig, MarkableAttr, PlanCache,
+    detect, embed, DetectionInput, EncoderConfig, MarkKind, MarkUnit, MarkableAttr, PlanCache,
     SelectionPlan, SelectionTable, Watermark,
 };
 use wmx_crypto::{Prf, SecretKey};
 use wmx_data::{jobs, library, publications, Dataset};
 use wmx_rewrite::binding::{AttrBinding, EntityBinding};
 use wmx_rewrite::SchemaBinding;
+use wmx_schema::{discover_groups, Fd};
 use wmx_stream::{stream_detect, StreamContext};
 use wmx_xml::Document;
-use wmx_xpath::{batch_select, Evaluator, Query};
+use wmx_xpath::{batch_select, Evaluator, NodeRef, Query};
 
 fn datasets() -> Vec<Dataset> {
     vec![
@@ -52,98 +56,300 @@ fn datasets() -> Vec<Dataset> {
     ]
 }
 
-/// Asserts plan execution over `doc` reproduces the legacy enumeration
-/// exactly: unit count, per-unit id text, node lists, mark kinds, and
-/// the full PRF decision stream.
-fn assert_plan_matches_legacy(
+/// One markable unit as the oracle reports it: the textual id
+/// (`key:…`, `ord:…`, `fd:…`), the value nodes, and how the bit is
+/// carried.
+struct OracleUnit {
+    id: String,
+    nodes: Vec<NodeRef>,
+    mark: MarkKind,
+}
+
+/// The interpretive unit enumerator of identifier creation (§2.3), kept
+/// independent of the plan: it reads `config` afresh on every call and
+/// reaches the document only through the public binding, FD and XPath
+/// accessors — no selection table, no pre-compiled access, no cache.
+/// FD-group units come first (their members are withheld from key
+/// units), then the sibling-order units of structural attributes, then
+/// key-identified units.
+fn oracle_units(
+    doc: &Document,
+    binding: &SchemaBinding,
+    fds: &[Fd],
+    config: &EncoderConfig,
+) -> Result<Vec<OracleUnit>, String> {
+    let mut units = Vec::new();
+    let mut fd_covered: HashSet<NodeRef> = HashSet::new();
+    if config.use_fd_groups {
+        for group in discover_groups(doc, fds) {
+            // Only an FD whose dependent is a declared markable carries
+            // marks; every member does, even in a singleton group.
+            let Some(markable) = oracle_fd_markable(binding, fds, &group.fd_name, config) else {
+                continue;
+            };
+            if group.members.is_empty() {
+                continue;
+            }
+            fd_covered.extend(group.members.iter().cloned());
+            units.push(OracleUnit {
+                id: group.unit_id(),
+                nodes: group.members,
+                mark: MarkKind::Value(markable.data_type),
+            });
+        }
+    }
+    for s in &config.structural {
+        let entity = oracle_entity(binding, "structural", &s.entity, &s.attr)?;
+        for instance in entity.instances(doc) {
+            let Some(key) = entity.key_of(doc, &instance) else {
+                continue;
+            };
+            // An order bit needs at least two sibling values.
+            let nodes = entity.attr_nodes(doc, &instance, &s.attr);
+            if nodes.len() >= 2 {
+                units.push(OracleUnit {
+                    id: format!("ord:{}|{key}|attr={}", s.entity, s.attr),
+                    nodes,
+                    mark: MarkKind::SiblingOrder,
+                });
+            }
+        }
+    }
+    for m in &config.markable {
+        if binding
+            .entity(&m.entity)
+            .is_some_and(|e| e.key_attr == m.attr)
+        {
+            return Err(format!(
+                "attribute {}/{} is the entity key and cannot carry marks",
+                m.entity, m.attr
+            ));
+        }
+        let entity = oracle_entity(binding, "markable", &m.entity, &m.attr)?;
+        for instance in entity.instances(doc) {
+            let Some(key) = entity.key_of(doc, &instance) else {
+                continue;
+            };
+            let nodes: Vec<NodeRef> = entity
+                .attr_nodes(doc, &instance, &m.attr)
+                .into_iter()
+                .filter(|n| !fd_covered.contains(n))
+                .collect();
+            if !nodes.is_empty() {
+                units.push(OracleUnit {
+                    id: format!("key:{}|{key}|attr={}", m.entity, m.attr),
+                    nodes,
+                    mark: MarkKind::Value(m.data_type),
+                });
+            }
+        }
+    }
+    Ok(units)
+}
+
+/// The entity binding behind a structural or markable declaration, or
+/// the error naming what the binding lacks.
+fn oracle_entity<'b>(
+    binding: &'b SchemaBinding,
+    role: &str,
+    entity: &str,
+    attr: &str,
+) -> Result<&'b EntityBinding, String> {
+    let Some(bound) = binding.entity(entity) else {
+        return Err(format!(
+            "{role} attribute {entity}/{attr} references an entity not bound by {}",
+            binding.name
+        ));
+    };
+    if bound.attr(attr).is_none() {
+        return Err(format!(
+            "{role} attribute {entity}/{attr} is not bound by {}",
+            binding.name
+        ));
+    }
+    Ok(bound)
+}
+
+/// The markable declaration backing FD `fd_name`: the one whose bound
+/// instance and attribute paths equal the FD's entity and (single)
+/// dependent paths, compared as parsed queries.
+fn oracle_fd_markable<'c>(
+    binding: &SchemaBinding,
+    fds: &[Fd],
+    fd_name: &str,
+    config: &'c EncoderConfig,
+) -> Option<&'c MarkableAttr> {
+    let fd = fds.iter().find(|f| f.name == fd_name)?;
+    let [rhs] = fd.rhs.as_slice() else {
+        return None;
+    };
+    let same =
+        |text: &str, query: &Query| Query::compile(text).is_ok_and(|q| q.expr() == query.expr());
+    config.markable.iter().find(|m| {
+        binding.entity(&m.entity).is_some_and(|entity| {
+            entity.attr(&m.attr).is_some_and(|attr| {
+                same(&entity.instance_path, &fd.entity) && same(&attr.to_path_text(), rhs)
+            })
+        })
+    })
+}
+
+/// Asserts plan execution over `doc` reproduces the oracle exactly:
+/// unit count, per-unit id text (through the plan's table and through a
+/// freshly built one, so symbol assignments agree too), node lists,
+/// mark kinds, and the full PRF decision stream. Returns the plan's
+/// units.
+fn assert_plan_matches_oracle(
     dataset_name: &str,
     doc: &Document,
     binding: &SchemaBinding,
-    fds: &[wmx_schema::Fd],
+    fds: &[Fd],
     config: &EncoderConfig,
-) {
-    let table = SelectionTable::build(config, fds);
-    let legacy = enumerate_units(doc, binding, fds, config, &table).expect("legacy enumerates");
+) -> Vec<MarkUnit> {
+    let oracle = oracle_units(doc, binding, fds, config).expect("oracle enumerates");
     let plan = SelectionPlan::compile(binding, fds, config).expect("plan compiles");
+    let table = plan.table();
+    let fresh_table = SelectionTable::build(config, fds);
     let planned = plan.execute(doc);
     assert_eq!(
-        legacy.len(),
+        oracle.len(),
         planned.len(),
         "unit count diverged on {dataset_name}"
     );
     let prf = Prf::new(SecretKey::from_passphrase("plan-eq"));
-    for (l, p) in legacy.iter().zip(&planned) {
-        // Same identity, rendered through each side's own table.
+    for (o, p) in oracle.iter().zip(&planned) {
         assert_eq!(
-            l.key.display(&table),
-            p.key.display(plan.table()),
+            o.id,
+            p.key.display(table),
             "unit id diverged on {dataset_name}"
         );
-        assert_eq!(l.nodes, p.nodes, "node list diverged on {dataset_name}");
-        assert_eq!(l.mark, p.mark, "mark kind diverged on {dataset_name}");
+        assert_eq!(
+            o.id,
+            p.key.display(&fresh_table),
+            "table symbols diverged on {dataset_name}"
+        );
+        assert_eq!(o.nodes, p.nodes, "node list diverged on {dataset_name}");
+        assert_eq!(o.mark, p.mark, "mark kind diverged on {dataset_name}");
         // Same PRF byte stream: every decision the marker derives from
-        // the id must be identical between the two feeds.
+        // the compact key must equal the one derived from the text id.
+        let id = o.id.as_str();
         for gamma in [1u32, 2, 3, 7, 100] {
             assert_eq!(
-                prf.is_selected(&l.key.id(&table), gamma),
-                prf.is_selected(&p.key.id(plan.table()), gamma),
+                prf.is_selected(id, gamma),
+                prf.is_selected(&p.key.id(table), gamma),
                 "selection diverged on {dataset_name} at gamma {gamma}"
             );
         }
         for wm_len in [1usize, 8, 24] {
             assert_eq!(
-                prf.bit_index(&l.key.id(&table), wm_len),
-                prf.bit_index(&p.key.id(plan.table()), wm_len),
+                prf.bit_index(id, wm_len),
+                prf.bit_index(&p.key.id(table), wm_len),
                 "bit index diverged on {dataset_name}"
             );
         }
         assert_eq!(
-            prf.value_nonce(&l.key.id(&table)),
-            prf.value_nonce(&p.key.id(plan.table())),
+            prf.value_nonce(id),
+            prf.value_nonce(&p.key.id(table)),
             "nonce diverged on {dataset_name}"
         );
         assert_eq!(
-            prf.whiten_bit(&l.key.id(&table)),
-            prf.whiten_bit(&p.key.id(plan.table())),
+            prf.whiten_bit(id),
+            prf.whiten_bit(&p.key.id(table)),
             "whitening diverged on {dataset_name}"
         );
     }
-    assert!(
-        plan.matches_legacy(doc, binding, fds, config),
-        "matches_legacy rejected {dataset_name}"
-    );
+    planned
 }
 
-/// Every corpus: compiled plans reproduce the legacy enumeration and
-/// PRF stream exactly, with and without FD groups.
+/// Every corpus: compiled plans reproduce the oracle's enumeration and
+/// PRF stream exactly, with and without FD groups, and with structural
+/// units where the corpus has a multi-valued attribute.
 #[test]
 fn corpus_plans_match_legacy_enumeration() {
     for dataset in datasets() {
-        assert!(
-            !SelectionPlan::compile(&dataset.binding, &dataset.fds, &dataset.config)
-                .expect("plan compiles")
-                .execute(&dataset.doc)
-                .is_empty(),
-            "corpus {} has units",
-            dataset.name
-        );
-        assert_plan_matches_legacy(
+        let units = assert_plan_matches_oracle(
             &dataset.name,
             &dataset.doc,
             &dataset.binding,
             &dataset.fds,
             &dataset.config,
         );
+        assert!(!units.is_empty(), "corpus {} has units", dataset.name);
         // The FD-free configuration exercises the pure structural +
         // markable phases.
         let no_fd = dataset.config.clone().without_fd_groups();
-        assert_plan_matches_legacy(
+        assert_plan_matches_oracle(
             &dataset.name,
             &dataset.doc,
             &dataset.binding,
             &dataset.fds,
             &no_fd,
         );
+        // Books carry several authors: their sibling order adds
+        // structural units between the FD groups and the key units.
+        let has_authors = dataset
+            .binding
+            .entity("book")
+            .is_some_and(|book| book.attr("author").is_some());
+        if has_authors {
+            let structural = dataset.config.clone().with_structural("book", "author");
+            let units = assert_plan_matches_oracle(
+                &dataset.name,
+                &dataset.doc,
+                &dataset.binding,
+                &dataset.fds,
+                &structural,
+            );
+            assert!(
+                units.iter().any(|u| u.mark == MarkKind::SiblingOrder),
+                "corpus {} has structural units",
+                dataset.name
+            );
+        }
+    }
+}
+
+/// Every way a configuration can be invalid: plan compilation fails with
+/// exactly the message the oracle reports. The last row is invalid
+/// twice over, which pins that structural declarations are checked
+/// before markable ones.
+#[test]
+fn compile_errors_match_oracle() {
+    let doc = doc_with_titles(&["A".to_string(), "B".to_string()]);
+    let binding = title_binding();
+    let year = || MarkableAttr::integer("book", "year", 1);
+    let isbn = || MarkableAttr::integer("book", "isbn", 1);
+    let cases = [
+        (
+            "key marked",
+            EncoderConfig::new(1, vec![MarkableAttr::text("book", "title")]),
+        ),
+        ("unbound markable attr", EncoderConfig::new(1, vec![isbn()])),
+        (
+            "unbound markable entity",
+            EncoderConfig::new(1, vec![MarkableAttr::integer("journal", "year", 1)]),
+        ),
+        (
+            "unbound structural attr",
+            EncoderConfig::new(1, vec![year()]).with_structural("book", "translator"),
+        ),
+        (
+            "unbound structural entity",
+            EncoderConfig::new(1, vec![year()]).with_structural("journal", "author"),
+        ),
+        (
+            "structural and markable both unbound",
+            EncoderConfig::new(1, vec![isbn()]).with_structural("book", "translator"),
+        ),
+    ];
+    for (case, config) in cases {
+        let Err(expected) = oracle_units(&doc, &binding, &[], &config) else {
+            panic!("oracle accepted {case}");
+        };
+        let Err(err) = SelectionPlan::compile(&binding, &[], &config) else {
+            panic!("plan accepted {case}");
+        };
+        assert_eq!(err.message, expected, "{case}");
     }
 }
 
@@ -319,7 +525,7 @@ proptest! {
 
     /// Adversarial key values — pipes, the id prefixes themselves, the
     /// FD tuple separator, unicode — never split the compiled plan from
-    /// the legacy enumeration.
+    /// the oracle.
     #[test]
     fn adversarial_docs_plan_matches_legacy(
         random in prop::collection::vec("[ -~]{0,12}", 1..8),
@@ -340,7 +546,7 @@ proptest! {
         let doc = doc_with_titles(&titles);
         let binding = title_binding();
         let config = EncoderConfig::new(gamma, vec![MarkableAttr::integer("book", "year", 1)]);
-        assert_plan_matches_legacy("adversarial", &doc, &binding, &[], &config);
+        assert_plan_matches_oracle("adversarial", &doc, &binding, &[], &config);
     }
 
     /// Batched and per-query evaluation agree on stored query sets from

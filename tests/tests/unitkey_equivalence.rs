@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use wmx_core::{
-    detect, embed, enumerate_units, DetectionInput, EncoderConfig, MarkableAttr, SelectionTable,
+    detect, embed, DetectionInput, EncoderConfig, MarkableAttr, SelectionPlan, SelectionTable,
     UnitKey, UnitTag, Watermark,
 };
 use wmx_crypto::{Prf, SecretKey};
@@ -111,18 +111,12 @@ fn assert_prf_agreement(prf: &Prf, table: &SelectionTable, key: &UnitKey) {
 fn corpus_units_agree_with_string_path() {
     let prf = Prf::new(SecretKey::from_passphrase("unitkey-eq"));
     for dataset in datasets() {
-        let table = SelectionTable::build(&dataset.config, &dataset.fds);
-        let units = enumerate_units(
-            &dataset.doc,
-            &dataset.binding,
-            &dataset.fds,
-            &dataset.config,
-            &table,
-        )
-        .expect("corpus enumerates");
+        let plan = SelectionPlan::compile(&dataset.binding, &dataset.fds, &dataset.config)
+            .expect("corpus plan compiles");
+        let units = plan.execute(&dataset.doc);
         assert!(!units.is_empty(), "corpus {} has units", dataset.name);
         for unit in &units {
-            assert_prf_agreement(&prf, &table, &unit.key);
+            assert_prf_agreement(&prf, plan.table(), &unit.key);
         }
     }
 }
@@ -270,12 +264,11 @@ proptest! {
         let doc = doc_with_titles(&titles);
         let binding = title_binding();
         let config = EncoderConfig::new(3, vec![MarkableAttr::integer("book", "year", 1)]);
-        let table = SelectionTable::build(&config, &[]);
-        let units = enumerate_units(&doc, &binding, &[], &config, &table)
-            .expect("adversarial doc enumerates");
+        let plan = SelectionPlan::compile(&binding, &[], &config).expect("plan compiles");
+        let units = plan.execute(&doc);
         let prf = Prf::new(SecretKey::from_passphrase("adversarial"));
         for unit in &units {
-            assert_prf_agreement(&prf, &table, &unit.key);
+            assert_prf_agreement(&prf, plan.table(), &unit.key);
         }
     }
 
@@ -287,16 +280,17 @@ proptest! {
         let doc = doc_with_titles(&titles);
         let binding = title_binding();
         let config = EncoderConfig::new(gamma, vec![MarkableAttr::integer("book", "year", 1)]);
-        let table = SelectionTable::build(&config, &[]);
-        let units = enumerate_units(&doc, &binding, &[], &config, &table).expect("enumerates");
+        let plan = SelectionPlan::compile(&binding, &[], &config).expect("plan compiles");
+        let table = plan.table();
+        let units = plan.execute(&doc);
         let prf = Prf::new(SecretKey::new(seed.to_be_bytes().to_vec()));
         let by_key = units
             .iter()
-            .filter(|u| prf.is_selected(&u.key.id(&table), gamma))
+            .filter(|u| prf.is_selected(&u.key.id(table), gamma))
             .count();
         let by_string = units
             .iter()
-            .filter(|u| prf.is_selected(u.key.display(&table).as_str(), gamma))
+            .filter(|u| prf.is_selected(u.key.display(table).as_str(), gamma))
             .count();
         prop_assert_eq!(by_key, by_string);
     }
