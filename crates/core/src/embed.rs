@@ -33,13 +33,19 @@ pub trait EmbedAlgorithm {
     fn extract(&self, value: &str, nonce: u64) -> Option<bool>;
 }
 
-/// Returns the plug-in registered for `data_type`.
-pub fn plugin_for(data_type: DataType) -> Box<dyn EmbedAlgorithm> {
+/// Returns the plug-in registered for `data_type`. The plug-ins are
+/// stateless, so one static instance per type serves every unit.
+pub fn plugin_for(data_type: DataType) -> &'static dyn EmbedAlgorithm {
+    static INTEGER: NumericPlugin = NumericPlugin::integer();
+    static DECIMAL: NumericPlugin = NumericPlugin::decimal(2);
+    static IMAGE: ImagePlugin = ImagePlugin {
+        samples: DEFAULT_IMAGE_SAMPLES,
+    };
     match data_type {
-        DataType::Integer => Box::new(NumericPlugin::integer()),
-        DataType::Decimal => Box::new(NumericPlugin::decimal(2)),
-        DataType::Text => Box::new(TextPlugin),
-        DataType::Base64Image => Box::new(ImagePlugin::default()),
+        DataType::Integer => &INTEGER,
+        DataType::Decimal => &DECIMAL,
+        DataType::Text => &TextPlugin,
+        DataType::Base64Image => &IMAGE,
     }
 }
 
@@ -56,13 +62,13 @@ pub struct NumericPlugin {
 
 impl NumericPlugin {
     /// Integer plug-in.
-    pub fn integer() -> Self {
+    pub const fn integer() -> Self {
         NumericPlugin { scale_digits: 0 }
     }
 
     /// Decimal plug-in embedding into the `scale_digits`-th decimal
     /// place (2 = cents).
-    pub fn decimal(scale_digits: u32) -> Self {
+    pub const fn decimal(scale_digits: u32) -> Self {
         NumericPlugin { scale_digits }
     }
 
@@ -73,7 +79,9 @@ impl NumericPlugin {
     fn to_scaled(&self, value: &str) -> Option<i64> {
         let v: f64 = value.trim().parse().ok()?;
         let scaled = (v * self.scale()).round();
-        if scaled.abs() > 9e15 {
+        // The `f64` parser also accepts "NaN" and "inf"; neither has a
+        // parity to carry a bit (NaN would otherwise cast to 0).
+        if !scaled.is_finite() || scaled.abs() > 9e15 {
             return None;
         }
         Some(scaled as i64)
@@ -174,9 +182,14 @@ pub struct ImagePlugin {
     pub samples: usize,
 }
 
+/// Pixel positions per image mark unless configured otherwise.
+const DEFAULT_IMAGE_SAMPLES: usize = 32;
+
 impl Default for ImagePlugin {
     fn default() -> Self {
-        ImagePlugin { samples: 32 }
+        ImagePlugin {
+            samples: DEFAULT_IMAGE_SAMPLES,
+        }
     }
 }
 
@@ -214,14 +227,17 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl ImagePlugin {
+    /// The first `min(samples, len)` distinct pixel offsets of a
+    /// nonce-seeded splitmix64 sequence, in draw order.
     fn positions(&self, nonce: u64, len: usize) -> Vec<usize> {
         let mut state = nonce ^ 0x574d_494d_4721_1005; // domain-separate
         let count = self.samples.min(len);
         let mut out = Vec::with_capacity(count);
-        let mut seen = std::collections::HashSet::with_capacity(count);
+        // Dedup by scanning the positions drawn so far: for the few dozen
+        // samples a mark uses this beats hashing every draw.
         while out.len() < count {
             let pos = (splitmix64(&mut state) % len as u64) as usize;
-            if seen.insert(pos) {
+            if !out.contains(&pos) {
                 out.push(pos);
             }
         }
@@ -304,6 +320,20 @@ mod tests {
         let p = NumericPlugin::integer();
         assert_eq!(p.embed("n/a", true, 0), None);
         assert_eq!(p.extract("n/a", 0), None);
+    }
+
+    #[test]
+    fn numeric_rejects_non_finite_values() {
+        // Rust's f64 parser accepts these spellings; none is a number
+        // whose parity can carry a bit.
+        for p in [NumericPlugin::integer(), NumericPlugin::decimal(2)] {
+            for value in ["NaN", "nan", " NaN ", "-nan", "inf", "-inf", "infinity"] {
+                for (bit, nonce) in [(true, 0), (false, 0), (true, 3), (false, 3)] {
+                    assert_eq!(p.embed(value, bit, nonce), None, "{value:?}");
+                }
+                assert_eq!(p.extract(value, 0), None, "{value:?}");
+            }
+        }
     }
 
     #[test]
@@ -391,6 +421,70 @@ mod tests {
             .filter(|&n| p.extract(&marked, n) == Some(true))
             .count();
         assert!(agreements < 64, "wrong nonces should not always agree");
+    }
+
+    /// A 44×44 `WMIMG` cover, the size the library dataset uses, with
+    /// pixels drawn from a fixed splitmix64 sequence.
+    fn cover_44() -> String {
+        let mut payload = b"WMIMG;44;44;".to_vec();
+        let mut state = 0x1234_5678_9abc_def0;
+        payload.extend((0..44 * 44).map(|_| splitmix64(&mut state) as u8));
+        base64::encode(&payload)
+    }
+
+    #[test]
+    fn image_embed_output_is_pinned() {
+        // SHA-256 of the marked payload for both bits and two nonces,
+        // recorded from the HashSet-deduplicating sampler: the pixel
+        // positions (and their order) must never drift, or published
+        // image marks stop being detectable.
+        let p = ImagePlugin::default();
+        let cover = cover_44();
+        let mut got = Vec::new();
+        for (bit, nonce) in [
+            (true, 7u64),
+            (false, 7),
+            (true, 0xdead_beef_f00d),
+            (false, 0xdead_beef_f00d),
+        ] {
+            let marked = p.embed(&cover, bit, nonce).unwrap();
+            assert_eq!(p.extract(&marked, nonce), Some(bit));
+            got.push(wmx_crypto::hex::encode(&wmx_crypto::sha256(
+                marked.as_bytes(),
+            )));
+        }
+        assert_eq!(
+            got,
+            [
+                "2ba07e40d1c77896b6bcca28ee9ab4b8015893d1a994dcab8a3fb2c3be150d06",
+                "0f892b3ad74bf41c56d2e0865e2af4e76683cc4b01050d2c9ca5981c0b0ba43b",
+                "e45683e9a3645809b9ff34387dff9a4f6e87dc6550fd8f204b9abcc1dc7b4a0d",
+                "92ee679a8982a21a43a9ea13738853c5375f9a981692d0b4cf582ead3e4774dd",
+            ]
+        );
+    }
+
+    #[test]
+    fn image_positions_are_pinned_when_draws_collide() {
+        // 32 samples over a 40-pixel region: most later draws hit a pixel
+        // already taken, so this pins the dedup order, not just the draws.
+        let p = ImagePlugin::default();
+        let got = p.positions(42, 40);
+        assert_eq!(
+            got,
+            [
+                8, 18, 25, 5, 35, 4, 32, 3, 9, 13, 31, 33, 37, 17, 1, 28, 24, 12, 23, 7, 2, 21, 30,
+                10, 20, 38, 34, 29, 0, 22, 26, 15
+            ]
+        );
+        let mut sorted = got.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 32);
+        // Every pixel of a region no larger than `samples` is taken.
+        let mut all = p.positions(9, 20);
+        all.sort_unstable();
+        assert_eq!(all, (0..20).collect::<Vec<_>>());
     }
 
     #[test]

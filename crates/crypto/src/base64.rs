@@ -35,14 +35,25 @@ impl std::error::Error for Base64Error {}
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
+/// Marks bytes outside the alphabet in [`DECODE`]. Every alphabet value
+/// fits in six bits, so any of the top two bits set means "invalid".
+const INVALID: u8 = 0xff;
+
+/// Byte → six-bit value, or [`INVALID`].
+const DECODE: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < ALPHABET.len() {
+        table[ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 fn decode_char(c: u8) -> Option<u8> {
-    match c {
-        b'A'..=b'Z' => Some(c - b'A'),
-        b'a'..=b'z' => Some(c - b'a' + 26),
-        b'0'..=b'9' => Some(c - b'0' + 52),
-        b'+' => Some(62),
-        b'/' => Some(63),
-        _ => None,
+    match DECODE[usize::from(c)] {
+        INVALID => None,
+        v => Some(v),
     }
 }
 
@@ -79,13 +90,36 @@ pub fn encode(data: &[u8]) -> String {
 }
 
 /// Decodes padded base64, ignoring ASCII whitespace.
+///
+/// Whole quads of alphabet characters are decoded by table lookup;
+/// from the first quad holding anything else (whitespace, padding, an
+/// invalid byte) the per-byte state machine takes over, starting with
+/// an empty quad at that byte's offset, so error positions are those of
+/// the input.
 pub fn decode(text: &str) -> Result<Vec<u8>, Base64Error> {
+    let bytes = text.as_bytes();
+    let mut out = Vec::with_capacity(text.len() / 4 * 3);
+    let mut done = 0usize;
+    for quad in bytes.chunks_exact(4) {
+        let [a, b, c, d] = [quad[0], quad[1], quad[2], quad[3]].map(|x| DECODE[usize::from(x)]);
+        if (a | b | c | d) & 0xc0 != 0 {
+            break;
+        }
+        let n = (u32::from(a) << 18) | (u32::from(b) << 12) | (u32::from(c) << 6) | u32::from(d);
+        out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
+        done += 4;
+    }
+    decode_tail(text, done, out)
+}
+
+/// The per-byte decoder for `text[start..]`, entered at a quad
+/// boundary with no padding seen; appends to `out`.
+fn decode_tail(text: &str, start: usize, mut out: Vec<u8>) -> Result<Vec<u8>, Base64Error> {
     let mut quad = [0u8; 4];
     let mut quad_len = 0usize;
     let mut pad = 0usize;
-    let mut out = Vec::with_capacity(text.len() / 4 * 3);
 
-    for (position, byte) in text.bytes().enumerate() {
+    for (position, &byte) in text.as_bytes().iter().enumerate().skip(start) {
         if byte.is_ascii_whitespace() {
             continue;
         }

@@ -13,10 +13,17 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 ///     "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
 /// );
 /// ```
+///
+/// Both pad blocks are absorbed in [`HmacSha256::new`]: the context
+/// holds the inner hash after `K ⊕ ipad` and the outer hash after
+/// `K ⊕ opad`, so a clone of a fresh context is a keyed starting point
+/// that skips both key blocks. Those two midstates are equivalent to
+/// the key itself — anyone holding them can compute the MAC — so the
+/// type deliberately has no `Debug` impl.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -40,7 +47,9 @@ impl HmacSha256 {
 
         let mut inner = Sha256::new();
         inner.update(&ipad_key);
-        HmacSha256 { inner, opad_key }
+        let mut outer = Sha256::new();
+        outer.update(&opad_key);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -51,8 +60,7 @@ impl HmacSha256 {
     /// Finishes the MAC computation.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }

@@ -104,15 +104,30 @@ impl<T: PrfInput + ?Sized> PrfInput for &T {
 }
 
 /// Keyed PRF bound to one secret key.
-#[derive(Clone, Debug)]
+///
+/// The HMAC context is keyed once, here, and cloned per call: every
+/// decision then costs the message blocks and one outer block instead
+/// of re-absorbing both pad blocks. The keyed context is as secret as
+/// the key, so `Debug` prints neither.
+#[derive(Clone)]
 pub struct Prf {
     key: SecretKey,
+    keyed: HmacSha256,
+}
+
+impl fmt::Debug for Prf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Prf")
+            .field("key", &self.key)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Prf {
     /// Creates the PRF for `key`.
     pub fn new(key: SecretKey) -> Self {
-        Prf { key }
+        let keyed = HmacSha256::new(key.as_bytes());
+        Prf { key, keyed }
     }
 
     /// The underlying secret key.
@@ -121,7 +136,7 @@ impl Prf {
     }
 
     fn mac<I: PrfInput + ?Sized>(&self, domain: &[u8], unit_id: &I) -> [u8; DIGEST_LEN] {
-        let mut mac = HmacSha256::new(self.key.as_bytes());
+        let mut mac = self.keyed.clone();
         mac.update(domain);
         mac.update(&[0u8]);
         unit_id.feed(&mut mac);
@@ -195,7 +210,7 @@ pub struct PrfStream<'a, I: PrfInput + ?Sized = str> {
 
 impl<I: PrfInput + ?Sized> PrfStream<'_, I> {
     fn refill(&mut self) {
-        let mut mac = HmacSha256::new(self.prf.key.as_bytes());
+        let mut mac = self.prf.keyed.clone();
         mac.update(DOMAIN_STREAM);
         mac.update(&[0u8]);
         self.unit_id.feed(&mut mac);

@@ -76,98 +76,84 @@ impl Sha256 {
             self.buf_len += take;
             input = &input[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while input.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&input[..BLOCK_LEN]);
-            self.compress(&block);
-            input = &input[BLOCK_LEN..];
+        let mut blocks = input.chunks_exact(BLOCK_LEN);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("exact block"));
         }
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
     }
 
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0x00);
+        // Padding: 0x80, zeros up to byte 56 of the last block, then the
+        // 64-bit big-endian bit length. `buf_len < BLOCK_LEN` always, so
+        // the 0x80 fits; the length spills into a second block when
+        // fewer than eight bytes remain after it.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= BLOCK_LEN - 8 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0u8; BLOCK_LEN];
         }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// Pushes a single padding byte without touching `total_len`.
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == BLOCK_LEN {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
+/// The SHA-256 compression function: folds one block into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 

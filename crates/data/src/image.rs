@@ -145,6 +145,38 @@ mod tests {
     }
 
     #[test]
+    fn image_plugin_output_on_synthetic_cover_is_pinned() {
+        // SHA-256 of the image plug-in's marked payload on the 44×44
+        // cover size the library dataset uses, for both bits and two
+        // nonces. Recorded from the original sampler; a change here
+        // means published image marks no longer read back.
+        use wmx_core::embed::{EmbedAlgorithm, ImagePlugin};
+        let cover = GrayImage::synthetic(44, 44, 2005).to_payload();
+        let plugin = ImagePlugin::default();
+        let mut got = Vec::new();
+        for (bit, nonce) in [
+            (true, 7u64),
+            (false, 7),
+            (true, 0xdead_beef_f00d),
+            (false, 0xdead_beef_f00d),
+        ] {
+            let marked = plugin.embed(&cover, bit, nonce).unwrap();
+            got.push(wmx_crypto::hex::encode(&wmx_crypto::sha256(
+                marked.as_bytes(),
+            )));
+        }
+        assert_eq!(
+            got,
+            [
+                "397aec973fae784eee51bd4985641915ff9a962e364b8e3db76334b295ddc642",
+                "08b23b72244e510fd628517ed2990e8381866fd32def747793374828932e033c",
+                "b751122f33154880e5579e3c4ed9be960953a82206b207b8f0782e7fb051c42d",
+                "1ace9939f105ea12ef5e7ff04c33a0ce1a180f9192f3cbbfb4980d8023993df1",
+            ]
+        );
+    }
+
+    #[test]
     fn image_plugin_compatibility() {
         // The payload format must be accepted by the core image plug-in.
         use wmx_core::embed::{EmbedAlgorithm, ImagePlugin};

@@ -81,6 +81,30 @@ for f in crates/xml/src/lexer.rs crates/xml/src/escape.rs; do
         status=1
     fi
 done
+# The per-unit kernel contract: every selected unit pays four PRF
+# calls and one plug-in call. `Prf::new` keys one HmacSha256 (both pad
+# blocks absorbed) and every PRF call clones it, so a second
+# `HmacSha256::new(` in the non-test region of prf.rs would put the two
+# key-block compressions back on every call. The image plug-in draws its
+# few dozen pixel positions deduplicated by a linear scan; a `HashSet`
+# in the non-test region of embed.rs would put a SipHash per draw (and
+# an allocation per call) back on the mark/extract path.
+hits=$(awk '/#\[cfg\(test\)\]/{exit}
+    /^[[:space:]]*\/\//{next}
+    /HmacSha256::new\(/{print FILENAME ":" FNR ": " $0}' crates/crypto/src/prf.rs)
+if [ "$(printf '%s' "$hits" | grep -c .)" -gt 1 ]; then
+    echo "error: HmacSha256 keyed outside Prf::new (clone the keyed context instead):" >&2
+    printf '%s\n' "$hits" >&2
+    status=1
+fi
+hits=$(awk '/#\[cfg\(test\)\]/{exit}
+    /^[[:space:]]*\/\//{next}
+    /HashSet/{print FILENAME ":" FNR ": " $0}' crates/core/src/embed.rs)
+if [ -n "$hits" ]; then
+    echo "error: HashSet on the plug-in mark/extract path (dedup pixel positions by scanning):" >&2
+    printf '%s\n' "$hits" >&2
+    status=1
+fi
 if [ "$status" -eq 0 ]; then
     echo "hot-path format! guard: clean"
 fi
