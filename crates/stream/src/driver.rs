@@ -16,7 +16,7 @@
 //! batch is flushed); forensic skips damaged records and turns a reader
 //! error after the root into a partial verdict.
 
-use crate::engine::{open_tag, RecordEngine};
+use crate::engine::RecordEngine;
 use crate::metrics::stream_metrics;
 use crate::parallel::{fan_out, Batch, Worker, BATCH_BYTES_PER_WORKER, MAX_WORKERS};
 use crate::reader::{Misc, TopEvent, TopLevelReader};
@@ -29,7 +29,8 @@ use std::io::{BufRead, Write};
 use wmx_core::{Watermark, WmError};
 use wmx_crypto::SecretKey;
 use wmx_xml::escape::escape_text;
-use wmx_xml::serialize::{cdata_text, comment_text, pi_text};
+use wmx_xml::serialize::{attribute_text, cdata_text, comment_text, pi_text};
+use wmx_xml::Position;
 use DetectMode::{Forensic, Strict};
 
 /// What a failure does to a pass.
@@ -63,7 +64,7 @@ pub fn embed<R: BufRead, W: Write>(
         key,
         watermark,
         PartialEmbed::default,
-        |engine, raw, partial, out| engine.embed_record_into(raw, partial, out),
+        |engine, record, at, partial, out| engine.embed_record_into(record, at, partial, out),
     )?;
     Ok(StreamEmbedReport {
         chunk_timings: run.timings,
@@ -94,7 +95,7 @@ pub fn detect<R: BufRead>(
         key,
         watermark,
         || PartialDetect::new(width, mode == Forensic),
-        |engine, raw, partial, _| engine.detect_record(raw, partial),
+        |engine, record, at, partial, _| engine.detect_record(record, at, partial),
     )?;
     stream_metrics().votes.add(run.partial.votes_cast as u64);
     Ok(StreamDetectReport {
@@ -210,7 +211,8 @@ where
     R: BufRead,
     W: Write,
     P: Partial,
-    F: Fn(&RecordEngine<'a>, &str, &mut P, &mut String) -> Result<(), StreamError> + Sync,
+    F: Fn(&RecordEngine<'a>, String, Position, &mut P, &mut String) -> Result<(), StreamError>
+        + Sync,
 {
     if watermark.is_empty() {
         return Err(WmError::new("watermark must have at least one bit").into());
@@ -237,7 +239,7 @@ where
     // between them in stream order, then folds the other workers'
     // partials into the first worker's.
     let mut flush = |batch: &mut Batch| -> Result<(), StreamError> {
-        let used = fan_out(&batch.records, &mut pool, |chunk, worker| {
+        let used = fan_out(&mut batch.records, &mut pool, |chunk, worker| {
             worker.run(&engine, &work, chunk, strict);
         });
         let first = batch.first;
@@ -274,7 +276,7 @@ where
     let mut batch = Batch::default();
     let error = loop {
         match reader.next_event() {
-            Ok(Some(event)) => batch.push(event),
+            Ok(Some(event)) => batch.push(event, reader.record_position()),
             Ok(None) => break None,
             Err(e) => break Some(e),
         }
@@ -366,7 +368,14 @@ impl<W: Write> Emitter<W> {
                 for piece in &self.prolog {
                     self.out.write_all(piece.as_bytes())?;
                 }
-                self.root_open = open_tag(&name, &attributes);
+                // The serializer's own attribute formatting, so byte
+                // parity with the DOM engine holds by construction.
+                self.root_open = ["<", &name].concat();
+                for attr in &attributes {
+                    self.root_open
+                        .push_str(&attribute_text(&attr.name, &attr.value));
+                }
+                self.root_open.push('>');
                 self.root_close = ["</", &name, ">"].concat();
             }
             TopEvent::Record(_) => unreachable!("records are emitted through Emitter::record"),

@@ -1,9 +1,10 @@
 //! Per-record embed/detect: the heart of the streaming engine.
 //!
-//! Each raw record slice is re-parsed into a *mini-document* wrapped in
-//! a copy of the root element (so absolute instance paths like
-//! `/db/book` resolve), the compiled [`SelectionPlan`] from `wmx-core`
-//! runs over it, and every unit goes through the same [`UnitMarker`] the
+//! Each raw record slice is parsed, at its input position, under a
+//! synthetic copy of the root element (so absolute instance paths like
+//! `/db/book` resolve, with no root tag lexed), the compiled
+//! [`SelectionPlan`] from `wmx-core` runs over the record's document,
+//! and every unit goes through the same [`UnitMarker`] the
 //! DOM encoder/decoder uses. Unit identities are key-based — never
 //! positional — so a unit's selection, bit index, nonce, and whitening
 //! are identical whether the unit was found in a 10 GB document or in
@@ -15,9 +16,9 @@
 //! process-wide [`wmx_core::PlanCache`], so repeated streams over the
 //! same schema reuse one compiled plan, its interned selection
 //! vocabulary lets [`wmx_core::UnitKey`]s from different records/chunks
-//! compare and merge directly, record mini-documents are parsed from a
-//! clone of a seeded prototype [`Interner`] (root + binding vocabulary)
-//! so their symbol ids stay stable across the whole stream, and identity
+//! compare and merge directly, records are parsed from a clone of a
+//! seeded prototype [`Interner`] (root + binding vocabulary) so their
+//! symbol ids stay stable across the whole stream, and identity
 //! queries are only constructed for units that actually mark — detection
 //! builds none at all. Per-record work does no name lookups and parses
 //! no queries: every access step was resolved at plan compile time.
@@ -32,8 +33,8 @@ use wmx_core::{
 use wmx_crypto::SecretKey;
 use wmx_rewrite::binding::AttrBinding;
 use wmx_xml::serialize::node_to_string_into;
-use wmx_xml::token::TokenAttribute;
-use wmx_xml::{parse, parse_seeded_owned, Document, Interner, ParseOptions};
+use wmx_xml::token::{SymAttribute, TokenAttribute};
+use wmx_xml::{Document, Interner, Position, Sym, XmlText};
 
 /// A compiled streaming engine for one document's root + semantics.
 pub(crate) struct RecordEngine<'a> {
@@ -43,30 +44,18 @@ pub(crate) struct RecordEngine<'a> {
     /// `config.redundancy` times when redundancy mode is on, otherwise a
     /// plain copy. Every per-record embed/extract indexes into this.
     watermark: Watermark,
-    root_open: String,
-    root_close: String,
+    /// The root element's name and attributes, interned in `prototype`:
+    /// every record parses under a root built from them.
+    root: Sym,
+    root_attributes: Vec<SymAttribute>,
     /// Compiled selection plan shared across records, chunks, and worker
     /// threads (and, through the global cache, across streams with the
     /// same schema). Pre-resolved symbols and pre-compiled access steps
     /// mean per-record execution never touches an interner or a parser.
     plan: Arc<SelectionPlan>,
-    /// Seeded prototype symbol table cloned into every record
-    /// mini-document: record symbols are stable across the stream.
+    /// Seeded prototype symbol table cloned into every record's
+    /// document: record symbols are stable across the stream.
     prototype: Interner,
-}
-
-/// Builds the compact open tag `<name a="v" ...>` from the serializer's
-/// own attribute formatting, so streaming/DOM byte parity holds by
-/// construction.
-pub(crate) fn open_tag(name: &str, attributes: &[TokenAttribute]) -> String {
-    let mut out = String::with_capacity(name.len() + 2);
-    out.push('<');
-    out.push_str(name);
-    for attr in attributes {
-        out.push_str(&wmx_xml::serialize::attribute_text(&attr.name, &attr.value));
-    }
-    out.push('>');
-    out
 }
 
 /// Interns the name-shaped fragments of a path text (step and attribute
@@ -93,54 +82,26 @@ impl<'a> RecordEngine<'a> {
         root_name: &str,
         root_attributes: &[TokenAttribute],
     ) -> Result<Self, StreamError> {
-        let root_open = open_tag(root_name, root_attributes);
-        let mut root_close = String::with_capacity(root_name.len() + 3);
-        root_close.push_str("</");
-        root_close.push_str(root_name);
-        root_close.push('>');
         // Binding/config validation (unbound attributes, markable keys…)
         // happens at plan compile time, before any record is seen, so
         // the same errors the DOM encoder would raise surface here.
         let plan = global_plan_cache()
             .get_or_compile(ctx.binding, ctx.fds, ctx.config)
             .map_err(StreamError::Wm)?;
-        let mut probe_text = String::with_capacity(root_open.len() + root_close.len());
-        probe_text.push_str(&root_open);
-        probe_text.push_str(&root_close);
-        let probe = parse(&probe_text).map_err(StreamError::Xml)?;
-        let probe_root = probe.root_element().expect("probe has a root");
-        let mut entity_names: Vec<&str> = ctx
-            .config
-            .markable
+        // Prototype = the root's names plus the binding vocabulary
+        // records will mention. Every record's document starts from a
+        // clone, so shared names resolve to the same symbol id in every
+        // record of the stream.
+        let mut prototype = Interner::new();
+        let root = prototype.intern(root_name);
+        // Shared values: each record's root copies them by refcount.
+        let root_attributes = root_attributes
             .iter()
-            .map(|m| m.entity.as_str())
-            .chain(ctx.config.structural.iter().map(|s| s.entity.as_str()))
+            .map(|a| SymAttribute {
+                name: prototype.intern(&a.name),
+                value: XmlText::shared(Arc::new(a.value.clone()), 0, a.value.len()),
+            })
             .collect();
-        entity_names.sort_unstable();
-        entity_names.dedup();
-        for name in entity_names {
-            if let Some(entity) = ctx.binding.entity(name) {
-                let hits_root = entity
-                    .instances(&probe)
-                    .iter()
-                    .any(|n| matches!(n, wmx_xpath::NodeRef::Node(id) if *id == probe_root));
-                if hits_root {
-                    let mut msg = String::new();
-                    let _ = write!(
-                        msg,
-                        "entity {name:?} is bound to the document root ({}); \
-                         record streaming needs instances below the root — use the DOM engine",
-                        entity.instance_path
-                    );
-                    return Err(StreamError::Unsupported(msg));
-                }
-            }
-        }
-        // Prototype = the probe's symbols (root + root attributes) plus
-        // the binding vocabulary records will mention. Every record's
-        // mini-document starts from a clone, so shared names resolve to
-        // the same symbol id in every record of the stream.
-        let mut prototype = probe.interner().clone();
         for entity in ctx.binding.entities.values() {
             seed_path_names(&mut prototype, &entity.instance_path);
             for attr_binding in entity.attrs.values() {
@@ -159,15 +120,46 @@ impl<'a> RecordEngine<'a> {
         } else {
             watermark.clone()
         };
-        Ok(RecordEngine {
+        let engine = RecordEngine {
             ctx,
             marker: UnitMarker::new(key.clone()),
             watermark,
-            root_open,
-            root_close,
+            root,
+            root_attributes,
             plan,
             prototype,
-        })
+        };
+        // An empty record is the root alone: no entity may bind to it.
+        let probe = engine.parse_record(String::new(), Position { line: 1, column: 1 })?;
+        let probe_root = probe.root_element();
+        let mut entity_names: Vec<&str> = ctx
+            .config
+            .markable
+            .iter()
+            .map(|m| m.entity.as_str())
+            .chain(ctx.config.structural.iter().map(|s| s.entity.as_str()))
+            .collect();
+        entity_names.sort_unstable();
+        entity_names.dedup();
+        for name in entity_names {
+            if let Some(entity) = ctx.binding.entity(name) {
+                let hits_root = entity
+                    .instances(&probe)
+                    .iter()
+                    .any(|n| matches!(n, wmx_xpath::NodeRef::Node(id) if Some(*id) == probe_root));
+                if hits_root {
+                    let mut msg = String::new();
+                    let _ = write!(
+                        msg,
+                        "entity {name:?} is bound to the document root ({}); \
+                         record streaming needs instances below the root — use the DOM engine",
+                        entity.instance_path
+                    );
+                    return Err(StreamError::Unsupported(msg));
+                }
+            }
+        }
+        Ok(engine)
     }
 
     /// The compiled plan's interned selection vocabulary — needed to
@@ -176,17 +168,12 @@ impl<'a> RecordEngine<'a> {
         self.plan.table()
     }
 
-    /// Parses one raw record slice into its wrapped mini-document.
-    fn mini_doc(&self, record_raw: &str) -> Result<Document, StreamError> {
-        let mut text =
-            String::with_capacity(self.root_open.len() + record_raw.len() + self.root_close.len());
-        text.push_str(&self.root_open);
-        text.push_str(record_raw);
-        text.push_str(&self.root_close);
-        // Handing the buffer to the parser (instead of re-borrowing it)
-        // lets the lexer back text/attribute spans with the shared input
-        // — record values land in the DOM as zero-copy slices.
-        parse_seeded_owned(text, ParseOptions::default(), self.prototype.clone())
+    /// Parses one raw record, which starts at `at` in the input, under
+    /// the root. The record's own buffer becomes the text backing, so
+    /// its values land in the DOM as zero-copy slices.
+    fn parse_record(&self, record: String, at: Position) -> Result<Document, StreamError> {
+        let (root, attributes) = (self.root, &self.root_attributes);
+        wmx_xml::parse_record(record, root, attributes, at, self.prototype.clone())
             .map_err(StreamError::Xml)
     }
 
@@ -194,12 +181,13 @@ impl<'a> RecordEngine<'a> {
     /// so the driver can recycle one output allocation across records.
     pub fn embed_record_into(
         &self,
-        record_raw: &str,
+        record: String,
+        at: Position,
         partial: &mut PartialEmbed,
         out: &mut String,
     ) -> Result<(), StreamError> {
-        let mut mini = self.mini_doc(record_raw)?;
-        let units = self.plan.execute(&mini);
+        let mut doc = self.parse_record(record, at)?;
+        let units = self.plan.execute(&doc);
         let table = self.plan.table();
         for unit in units {
             let is_fd = unit.key.tag == UnitTag::FdGroup;
@@ -222,7 +210,7 @@ impl<'a> RecordEngine<'a> {
                 continue;
             }
             let marked_nodes = self.marker.mark_unit(
-                &mut DomNodesMut::new(&mut mini, &unit.nodes),
+                &mut DomNodesMut::new(&mut doc, &unit.nodes),
                 &unit.key.id(table),
                 unit.mark,
                 &self.watermark,
@@ -255,24 +243,25 @@ impl<'a> RecordEngine<'a> {
             }
         }
         partial.records += 1;
-        partial.peak_resident_nodes = partial.peak_resident_nodes.max(mini.arena_len());
-        let root = mini.root_element().expect("mini doc has a root");
-        let record_node = mini
-            .child_elements(root)
-            .next()
-            .expect("mini doc wraps exactly one record");
-        node_to_string_into(&mini, record_node, out);
+        partial.peak_resident_nodes = partial.peak_resident_nodes.max(doc.arena_len());
+        // The root's children are the record, which is one element.
+        if let Some(root) = doc.root_element() {
+            for &node in doc.children(root) {
+                node_to_string_into(&doc, node, out);
+            }
+        }
         Ok(())
     }
 
     /// Extracts votes from one record.
     pub fn detect_record(
         &self,
-        record_raw: &str,
+        record: String,
+        at: Position,
         partial: &mut PartialDetect,
     ) -> Result<(), StreamError> {
-        let mini = self.mini_doc(record_raw)?;
-        let units = self.plan.execute(&mini);
+        let doc = self.parse_record(record, at)?;
+        let units = self.plan.execute(&doc);
         let table = self.plan.table();
         let wm_len = self.watermark.len();
         for unit in units {
@@ -287,7 +276,7 @@ impl<'a> RecordEngine<'a> {
             }
             let is_fd = unit.key.tag == UnitTag::FdGroup;
             let votes = self.marker.extract_unit(
-                &DomNodes::new(&mini, &unit.nodes),
+                &DomNodes::new(&doc, &unit.nodes),
                 &unit.key.id(table),
                 unit.mark,
                 wm_len,
@@ -317,7 +306,7 @@ impl<'a> RecordEngine<'a> {
             }
         }
         partial.records += 1;
-        partial.peak_resident_nodes = partial.peak_resident_nodes.max(mini.arena_len());
+        partial.peak_resident_nodes = partial.peak_resident_nodes.max(doc.arena_len());
         Ok(())
     }
 }

@@ -3,11 +3,12 @@
 //! The DOM pipeline in `wmx-core` materializes an entire document before
 //! touching a single value, so memory scales with document size. This
 //! crate is a second execution engine over the same watermarking
-//! semantics: it pulls tokens from [`wmx_xml::pull::PullParser`], splits
-//! the document at top-level record boundaries (the children of the root
-//! element), materializes **one record at a time** as a mini-document,
-//! runs the shared per-unit decision ([`wmx_core::UnitMarker`] through
-//! the [`wmx_core::NodeCtx`] seam), and emits output incrementally.
+//! semantics: it splits the document at top-level record boundaries
+//! (the children of the root element) with a byte scan, parses **one
+//! record at a time** under a synthetic root ([`wmx_xml::parse_record`],
+//! the only lex of the record's bytes), runs the shared per-unit
+//! decision ([`wmx_core::UnitMarker`] through the [`wmx_core::NodeCtx`]
+//! seam), and emits output incrementally.
 //!
 //! # Guarantees
 //!
@@ -17,7 +18,7 @@
 //!   generated corpora and adversarial documents.
 //! * **Bounded memory.** At most O(depth + one record) XML nodes are
 //!   resident at any time ([`StreamEmbedReport::peak_resident_nodes`]
-//!   measures the high-water mark); the token buffer is bounded by the
+//!   measures the high-water mark); the input buffer is bounded by the
 //!   largest single record.
 //! * **Deterministic parallelism.** One driver serves every entry point
 //!   ([`embed`]/[`detect`]; `stream_*`/`par_*` are shims over them). With

@@ -14,6 +14,7 @@ use crate::report::ChunkTiming;
 use crate::StreamError;
 use std::ops::Range;
 use std::time::Instant;
+use wmx_xml::Position;
 
 /// Raw record bytes collected per worker before a multi-worker batch
 /// fans out.
@@ -48,24 +49,25 @@ impl<P> Worker<P> {
         }
     }
 
-    /// Runs `work` over a chunk of records.
+    /// Runs `work` over a chunk of records, taking each record's bytes.
     pub fn run<'a, F>(
         &mut self,
         engine: &RecordEngine<'a>,
         work: &F,
-        chunk: &[String],
+        chunk: &mut [(String, Position)],
         strict: bool,
     ) where
-        F: Fn(&RecordEngine<'a>, &str, &mut P, &mut String) -> Result<(), StreamError>,
+        F: Fn(&RecordEngine<'a>, String, Position, &mut P, &mut String) -> Result<(), StreamError>,
     {
         let start = Instant::now();
         let timing = self.timing.get_or_insert(ChunkTiming {
             records: 0,
             micros: 0,
         });
-        for raw in chunk {
+        for (record, at) in chunk {
             let begin = self.out.len();
-            let result = work(engine, raw, &mut self.partial, &mut self.out);
+            let record = std::mem::take(record);
+            let result = work(engine, record, *at, &mut self.partial, &mut self.out);
             let result = result.map(|()| begin..self.out.len());
             let failed = result.is_err();
             timing.records += usize::from(!failed);
@@ -82,7 +84,8 @@ impl<P> Worker<P> {
 /// them.
 #[derive(Default)]
 pub(crate) struct Batch {
-    pub records: Vec<String>,
+    /// Each record's bytes and where it starts in the input.
+    pub records: Vec<(String, Position)>,
     /// Non-record events, each tagged with the number of batch records
     /// that precede it.
     pub events: Vec<(usize, TopEvent)>,
@@ -94,11 +97,12 @@ pub(crate) struct Batch {
 }
 
 impl Batch {
-    pub fn push(&mut self, event: TopEvent) {
+    /// Adds `event`; a record starts at `at` in the input.
+    pub fn push(&mut self, event: TopEvent, at: Position) {
         match event {
             TopEvent::Record(raw) => {
                 self.bytes += raw.len();
-                self.records.push(raw);
+                self.records.push((raw, at));
             }
             event => {
                 if let TopEvent::Misc(misc) | TopEvent::TrailingMisc(misc) = &event {
@@ -124,14 +128,14 @@ impl Batch {
 /// Splits `records` into at most one contiguous chunk per worker and runs
 /// `work` on each: the first chunk on the calling thread, the others on
 /// scoped threads. Returns the number of chunks, so `workers[..n]` ran.
-pub(crate) fn fan_out<T: Send>(
-    records: &[String],
+pub(crate) fn fan_out<R: Send, T: Send>(
+    records: &mut [R],
     workers: &mut [T],
-    work: impl Fn(&[String], &mut T) + Sync,
+    work: impl Fn(&mut [R], &mut T) + Sync,
 ) -> usize {
     let size = records.len().div_ceil(workers.len()).max(1);
     let used = records.len().div_ceil(size);
-    let mut chunks = records.chunks(size).zip(workers);
+    let mut chunks = records.chunks_mut(size).zip(workers);
     let Some((head, lead)) = chunks.next() else {
         return 0;
     };

@@ -1,22 +1,34 @@
 //! Top-level document reader: turns a byte stream into prolog events,
 //! raw record slices, and inter-record content.
 //!
-//! [`TopLevelReader`] pulls tokens from [`PullParser`] while tracking
-//! element depth. Children of the root element are *records*: their raw
-//! bytes are captured verbatim (via the pull parser's hold mechanism)
-//! and handed to the engine as one [`TopEvent::Record`] each, without
-//! ever materializing their nodes here. Everything else — XML
+//! Children of the root element are *records*. [`TopLevelReader`] reads
+//! each one whole with [`PullParser::scan_element`], a byte scan that
+//! counts element depth over the SWAR delimiter searches of
+//! [`wmx_xml::scan`]. It builds no token inside a record, so the
+//! engine's parse of the record is the only lex of its bytes. Each
+//! record's raw bytes reach the engine as one [`TopEvent::Record`], and
+//! [`TopLevelReader::record_position`] says where it starts, so the
+//! record parse reports errors at input positions. Everything else — XML
 //! declaration, DOCTYPE, comments, processing instructions, mixed text
-//! between records — surfaces as its own event so the driver can
-//! re-emit it exactly as the DOM serializer would.
+//! between records — is lexed by the [`PullParser`] and surfaces as its
+//! own event, so the driver can re-emit it exactly as the DOM serializer
+//! would.
+//!
+//! The scan only bounds records and checks nothing the lexer checks. A
+//! lexical error inside balanced tags (`<t a=1>`) leaves a record that
+//! fails in its own parse. Markup no token starts with (`<!x`, `<1`),
+//! and input that ends inside a record, are reported by lexing the
+//! record from its start: the first lexical error in it, or an
+//! unexpected end of input.
 //!
 //! Memory is bounded by the largest single record plus one read chunk.
 
 use crate::StreamError;
 use std::io::BufRead;
-use wmx_xml::pull::{PullParser, Pulled};
+use wmx_xml::pull::{PullParser, Pulled, Scanned};
+use wmx_xml::scan;
 use wmx_xml::token::{Token, TokenAttribute};
-use wmx_xml::{XmlError, XmlErrorKind};
+use wmx_xml::{Position, XmlError, XmlErrorKind};
 
 /// Non-record content at the document's top levels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,6 +80,10 @@ pub enum TopEvent {
 enum State {
     Prolog,
     Content,
+    /// In a record the scan could not bound — it holds markup no token
+    /// starts with, or the input ends inside it: lexing on through its
+    /// tokens to the first lexical error in it.
+    Unbounded,
     Epilog,
 }
 
@@ -76,10 +92,8 @@ pub struct TopLevelReader<R> {
     src: R,
     pull: PullParser,
     state: State,
-    /// Nesting depth inside the current record (0 = at root child level).
-    record_depth: usize,
-    /// Stream offset where the current record started.
-    record_start: u64,
+    /// Where the last record returned starts in the input.
+    record_at: Position,
     /// Trailing bytes of the previous read that were not yet a complete
     /// UTF-8 character.
     pending_utf8: Vec<u8>,
@@ -95,12 +109,17 @@ impl<R: BufRead> TopLevelReader<R> {
             src,
             pull: PullParser::new(),
             state: State::Prolog,
-            record_depth: 0,
-            record_start: 0,
+            record_at: Position { line: 1, column: 1 },
             pending_utf8: Vec::new(),
             eof: false,
             pending_root_end: false,
         }
+    }
+
+    /// Where the last [`TopEvent::Record`] returned starts in the input:
+    /// the line and column of its `<`.
+    pub fn record_position(&self) -> Position {
+        self.record_at
     }
 
     /// Reads one chunk from the source into the pull parser, handling
@@ -143,13 +162,14 @@ impl<R: BufRead> TopLevelReader<R> {
                 }
                 Err(e) => {
                     let valid = e.valid_up_to();
+                    let not_utf8 =
+                        || StreamError::Unsupported("input is not valid UTF-8".to_string());
                     if e.error_len().is_some() || bytes.len() - valid > 3 {
-                        return Err(StreamError::Unsupported(
-                            "input is not valid UTF-8".to_string(),
-                        ));
+                        return Err(not_utf8());
                     }
                     // A character split across chunks: keep its prefix.
-                    pull.push_str(std::str::from_utf8(&bytes[..valid]).expect("checked prefix"));
+                    let prefix = std::str::from_utf8(&bytes[..valid]).map_err(|_| not_utf8())?;
+                    pull.push_str(prefix);
                     *pending_utf8 = bytes[valid..].to_vec();
                     Ok(())
                 }
@@ -179,15 +199,19 @@ impl<R: BufRead> TopLevelReader<R> {
             return Ok(Some(TopEvent::RootEnd));
         }
         loop {
-            // While scanning between records, hold from the current
-            // offset so a record's raw bytes stay addressable; inside a
-            // record the hold set at its start must persist.
-            if self.record_depth == 0 {
-                self.pull.hold_from(self.pull.stream_offset());
+            if self.state == State::Content {
+                match self.pull.scan_element() {
+                    Scanned::NeedMore => {
+                        self.fill()?;
+                        continue;
+                    }
+                    Scanned::Element { text, at } => {
+                        self.record_at = at;
+                        return Ok(Some(TopEvent::Record(text.to_string())));
+                    }
+                    Scanned::Tokens => {}
+                }
             }
-            // Offset of the token about to be pulled (NeedMore leaves it
-            // unchanged, so re-reading each iteration is correct).
-            let tok_start = self.pull.stream_offset();
             let token = match self.pull.next()? {
                 Pulled::Token(t) => t.token,
                 Pulled::NeedMore => {
@@ -197,40 +221,15 @@ impl<R: BufRead> TopLevelReader<R> {
                 Pulled::End => {
                     return match self.state {
                         State::Prolog => Err(self.err_at(XmlErrorKind::NoRootElement)),
-                        State::Content => Err(self.err_at(XmlErrorKind::UnexpectedEof {
-                            while_parsing: "element content (unclosed element)",
-                        })),
+                        State::Content | State::Unbounded => {
+                            Err(self.err_at(XmlErrorKind::UnexpectedEof {
+                                while_parsing: "element content (unclosed element)",
+                            }))
+                        }
                         State::Epilog => Ok(None),
                     };
                 }
             };
-            if self.record_depth > 0 {
-                // Inside a record: only the depth bookkeeping matters;
-                // the raw bytes are captured wholesale at record end.
-                match token {
-                    Token::StartTag {
-                        self_closing: false,
-                        ..
-                    } => {
-                        self.record_depth += 1;
-                    }
-                    Token::EndTag { .. } => {
-                        self.record_depth -= 1;
-                        if self.record_depth == 0 {
-                            let end = self.pull.stream_offset();
-                            let raw = self
-                                .pull
-                                .raw_range(self.record_start, end)
-                                .expect("record bytes are held")
-                                .to_string();
-                            self.pull.release_hold();
-                            return Ok(Some(TopEvent::Record(raw)));
-                        }
-                    }
-                    _ => {}
-                }
-                continue;
-            }
             match self.state {
                 State::Prolog => match token {
                     Token::XmlDecl { content } => return Ok(Some(TopEvent::XmlDecl(content))),
@@ -242,7 +241,7 @@ impl<R: BufRead> TopLevelReader<R> {
                         return Ok(Some(TopEvent::PrologMisc(Misc::Pi { target, data })))
                     }
                     Token::Text { content } => {
-                        if wmx_xml::scan::is_all_whitespace(&content) {
+                        if scan::is_all_whitespace(&content) {
                             continue;
                         }
                         return Err(self.err_at(XmlErrorKind::NoRootElement));
@@ -269,27 +268,13 @@ impl<R: BufRead> TopLevelReader<R> {
                     }
                 },
                 State::Content => match token {
-                    Token::StartTag { self_closing, .. } => {
-                        self.record_start = tok_start;
-                        if self_closing {
-                            let end = self.pull.stream_offset();
-                            let raw = self
-                                .pull
-                                .raw_range(self.record_start, end)
-                                .expect("record bytes are held")
-                                .to_string();
-                            self.pull.release_hold();
-                            return Ok(Some(TopEvent::Record(raw)));
-                        }
-                        self.record_depth = 1;
-                        continue;
-                    }
+                    Token::StartTag { .. } => self.state = State::Unbounded,
                     Token::EndTag { .. } => {
                         self.state = State::Epilog;
                         return Ok(Some(TopEvent::RootEnd));
                     }
                     Token::Text { content } => {
-                        if wmx_xml::scan::is_all_whitespace(&content) {
+                        if scan::is_all_whitespace(&content) {
                             continue; // default ParseOptions drop these
                         }
                         return Ok(Some(TopEvent::Misc(Misc::Text(content.into_string()))));
@@ -312,6 +297,7 @@ impl<R: BufRead> TopLevelReader<R> {
                         ))
                     }
                 },
+                State::Unbounded => {}
                 State::Epilog => match token {
                     Token::Comment { content } => {
                         return Ok(Some(TopEvent::TrailingMisc(Misc::Comment(content))))
@@ -320,7 +306,7 @@ impl<R: BufRead> TopLevelReader<R> {
                         return Ok(Some(TopEvent::TrailingMisc(Misc::Pi { target, data })))
                     }
                     Token::Text { content } => {
-                        if wmx_xml::scan::is_all_whitespace(&content) {
+                        if scan::is_all_whitespace(&content) {
                             continue;
                         }
                         return Err(self.err_at(XmlErrorKind::TrailingContent));
@@ -421,6 +407,104 @@ mod tests {
             if matches!(e.kind, XmlErrorKind::UnexpectedEof { .. })));
         assert!(matches!(fail("hello<a/>"), StreamError::Xml(e)
             if matches!(e.kind, XmlErrorKind::NoRootElement)));
+    }
+
+    #[test]
+    fn scan_skips_markup_that_looks_like_a_boundary() {
+        let records = [
+            "<r a=\"x>y\" b='/>' c=\"'\"/>",
+            "<r><!-- </r> --><![CDATA[</r>]]><?pi </r>?></r>",
+            "<r><r><r/></r><!DOCTYPE d [<!ELEMENT d (#PCDATA)>]></r>",
+            "<中文 ü=\"1\">\r\n<r>>x</r></中文>",
+            "<r><!----><?p?></r>",
+        ];
+        let input = format!("<db>\r\n {}<!-- m -->x </db>", records.join(" \n"));
+        let mut want: Vec<TopEvent> = records
+            .iter()
+            .map(|r| TopEvent::Record(r.to_string()))
+            .collect();
+        want.push(TopEvent::Misc(Misc::Comment(" m ".into())));
+        want.push(TopEvent::Misc(Misc::Text("x ".into())));
+        want.push(TopEvent::RootEnd);
+        assert_eq!(events(&input)[1..], want[..]);
+    }
+
+    #[test]
+    fn records_know_their_input_position() {
+        let input = "<db>\n  <a/>\n<b>中</b><c>x</c>\n</db>";
+        let mut reader = TopLevelReader::new(input.as_bytes());
+        let mut positions = Vec::new();
+        while let Some(ev) = reader.next_event().unwrap() {
+            if matches!(ev, TopEvent::Record(_)) {
+                let at = reader.record_position();
+                positions.push((at.line, at.column));
+            }
+        }
+        assert_eq!(positions, [(2, 3), (3, 1), (3, 9)]);
+    }
+
+    #[test]
+    fn a_record_split_over_many_reads_is_scanned_once() {
+        // One 1 MiB record holding every construct the scan steps over,
+        // read 7 bytes at a time.
+        let unit = "<i k=\"a>b\" q='\"/>'>t &amp; u</i><!-- <i> --><![CDATA[<i>]]><?p >?><e/>\n";
+        let mut record = String::from("<rec>");
+        while record.len() < 1 << 20 {
+            record.push_str(unit);
+        }
+        record.push_str("</rec>");
+        let input = format!("<db>{record}</db>");
+        let mut reader =
+            TopLevelReader::new(std::io::BufReader::with_capacity(7, input.as_bytes()));
+        assert!(matches!(
+            reader.next_event().unwrap(),
+            Some(TopEvent::RootStart { .. })
+        ));
+        assert_eq!(
+            reader.next_event().unwrap(),
+            Some(TopEvent::Record(record.clone()))
+        );
+        assert_eq!(reader.next_event().unwrap(), Some(TopEvent::RootEnd));
+        // Rescanning from the record start on each read would examine
+        // about `len² / 14` bytes.
+        let examined = reader.pull.scanned_bytes() as usize;
+        assert!(
+            examined <= 2 * record.len(),
+            "examined {examined} bytes for a {}-byte record",
+            record.len()
+        );
+    }
+
+    #[test]
+    fn unbounded_records_report_the_token_path_error() {
+        let fail = |input: &str| {
+            let mut r = TopLevelReader::new(input.as_bytes());
+            loop {
+                match r.next_event() {
+                    Err(StreamError::Xml(e)) => return e.to_string(),
+                    Err(e) => panic!("unexpected {e}"),
+                    Ok(None) => panic!("expected an error for {input:?}"),
+                    Ok(Some(_)) => {}
+                }
+            }
+        };
+        // Markup no token starts with: the lexer's error, at its place.
+        let bang = fail("<db><r><!x></r></db>");
+        assert_eq!(
+            bang,
+            wmx_xml::parse("<db><r><!x></r></db>")
+                .unwrap_err()
+                .to_string()
+        );
+        // An earlier lexical error in the same record comes first.
+        let first = fail("<db><r><t a=1/><1></r></db>");
+        assert!(first.contains("1:13"), "{first}");
+        // Input that ends inside a record, between tokens or inside one.
+        assert_eq!(
+            fail("<db><r><t>x"),
+            "unexpected end of input while parsing element content (unclosed element)"
+        );
+        assert!(fail("<db><r><t").contains("a start tag at 1:10"));
     }
 
     /// A reader that returns at most `n` bytes per fill, to exercise

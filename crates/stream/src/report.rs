@@ -82,7 +82,7 @@ pub struct StreamEmbedReport {
     pub report: EmbedReport,
     /// Records processed.
     pub records: usize,
-    /// High-water mark of XML nodes resident at once (wrapper root +
+    /// High-water mark of XML nodes resident at once (synthetic root +
     /// one record), the O(depth + record) memory guarantee.
     pub peak_resident_nodes: usize,
     /// Per-worker wall-clock timings (one entry per worker given records).

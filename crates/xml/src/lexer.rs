@@ -85,21 +85,18 @@ pub fn is_valid_name(name: &str) -> bool {
 
 /// Flushes accumulated span counters onto the process-wide telemetry
 /// registry. Called once per completed parse (and on pull-parser drop),
-/// never per token.
+/// never per token. Both counters register on the first call, zero or
+/// not, so a rare kind of span showing up later costs no allocation.
 pub(crate) fn record_span_stats(zero_copy: u64, materialized: u64) {
     use std::sync::OnceLock;
     static ZERO_COPY: OnceLock<Arc<wmx_telemetry::Counter>> = OnceLock::new();
     static MATERIALIZED: OnceLock<Arc<wmx_telemetry::Counter>> = OnceLock::new();
-    if zero_copy > 0 {
-        ZERO_COPY
-            .get_or_init(|| wmx_telemetry::global().counter("lexer.text_spans_zero_copy"))
-            .add(zero_copy);
-    }
-    if materialized > 0 {
-        MATERIALIZED
-            .get_or_init(|| wmx_telemetry::global().counter("lexer.text_spans_materialized"))
-            .add(materialized);
-    }
+    ZERO_COPY
+        .get_or_init(|| wmx_telemetry::global().counter("lexer.text_spans_zero_copy"))
+        .add(zero_copy);
+    MATERIALIZED
+        .get_or_init(|| wmx_telemetry::global().counter("lexer.text_spans_materialized"))
+        .add(materialized);
 }
 
 /// The streaming tokenizer. Iterate with [`Lexer::next_token`].
@@ -130,7 +127,13 @@ impl<'a> Lexer<'a> {
     /// runs, CDATA sections, and attribute values are produced as
     /// zero-copy [`XmlText::Shared`] spans into `buf`.
     pub fn from_shared(buf: &'a Arc<String>) -> Self {
-        let mut lexer = Lexer::with_position(buf.as_str(), 1, 1);
+        Lexer::from_shared_at(buf, Position { line: 1, column: 1 })
+    }
+
+    /// [`Lexer::from_shared`] for a buffer whose first character sits at
+    /// `at` in a larger input, so positions are the input's.
+    pub(crate) fn from_shared_at(buf: &'a Arc<String>, at: Position) -> Self {
+        let mut lexer = Lexer::with_position(buf.as_str(), at.line, at.column);
         lexer.backing = Some(Arc::clone(buf));
         lexer
     }

@@ -57,10 +57,11 @@ pub mod token;
 
 pub use build::ElementBuilder;
 pub use dom::{Attribute, Document, NameIndex, NodeId, NodeKind};
-pub use error::{XmlError, XmlErrorKind};
+pub use error::{Position, XmlError, XmlErrorKind};
 pub use intern::{Interner, Sym};
 pub use parser::{
-    parse, parse_owned, parse_seeded, parse_seeded_owned, parse_with_options, ParseOptions,
+    parse, parse_owned, parse_record, parse_seeded, parse_seeded_owned, parse_with_options,
+    ParseOptions,
 };
 pub use pull::{PullParser, Pulled};
 pub use serialize::{

@@ -1,9 +1,10 @@
 //! Recursive-descent parser building a [`Document`] from the token stream.
 
 use crate::dom::{Document, NodeId};
-use crate::error::{XmlError, XmlErrorKind};
+use crate::error::{Position, XmlError, XmlErrorKind};
+use crate::intern::{Interner, Sym};
 use crate::lexer::Lexer;
-use crate::token::{SpannedToken, Token};
+use crate::token::{SpannedToken, SymAttribute, Token};
 
 /// Options controlling how the tree is built.
 #[derive(Debug, Clone, Copy)]
@@ -44,11 +45,7 @@ pub fn parse(input: &str) -> Result<Document, XmlError> {
 /// backing, and escape-free text/CDATA/attribute runs are stored as
 /// spans into it without copying.
 pub fn parse_owned(input: String) -> Result<Document, XmlError> {
-    parse_seeded_owned(
-        input,
-        ParseOptions::default(),
-        crate::intern::Interner::new(),
-    )
+    parse_seeded_owned(input, ParseOptions::default(), Interner::new())
 }
 
 /// Parses `input` with explicit options.
@@ -57,7 +54,7 @@ pub fn parse_owned(input: String) -> Result<Document, XmlError> {
 /// the lexer's symbol table, so tree construction never re-hashes a
 /// name.
 pub fn parse_with_options(input: &str, options: ParseOptions) -> Result<Document, XmlError> {
-    parse_seeded(input, options, crate::intern::Interner::new())
+    parse_seeded(input, options, Interner::new())
 }
 
 /// Parses `input` starting from a pre-populated symbol table.
@@ -67,37 +64,73 @@ pub fn parse_with_options(input: &str, options: ParseOptions) -> Result<Document
 /// documents parsed from clones of the same seed therefore agree on the
 /// symbol ids of all seeded names (and of any further names they
 /// introduce in the same order) — the property the `wmx-stream` engine
-/// uses to keep record mini-document symbols stable across a whole
-/// stream, so per-record work keyed by [`crate::Sym`] carries over from
-/// record to record.
+/// uses to keep record symbols stable across a whole stream (see
+/// [`parse_record`]), so per-record work keyed by [`Sym`] carries over
+/// from record to record.
 pub fn parse_seeded(
     input: &str,
     options: ParseOptions,
-    seed: crate::intern::Interner,
+    seed: Interner,
 ) -> Result<Document, XmlError> {
     parse_seeded_owned(input.to_string(), options, seed)
 }
 
-/// [`parse_seeded`] over an owned buffer — the streaming engine's
-/// per-record path: the assembled mini-document string is consumed
-/// directly as the shared text backing, so record values reach the DOM
-/// without a per-value copy.
+/// [`parse_seeded`] over an owned buffer: the buffer is consumed
+/// directly as the shared text backing, so values reach the DOM without
+/// a per-value copy.
 pub fn parse_seeded_owned(
     input: String,
     options: ParseOptions,
-    seed: crate::intern::Interner,
+    seed: Interner,
+) -> Result<Document, XmlError> {
+    let start = Position { line: 1, column: 1 };
+    parse_shared(input, options, seed, start, None)
+}
+
+/// Parses one record of a larger document — content that sits inside
+/// its root element, such as one child element — under a root element
+/// built from `root` and `attributes`, without lexing any root tag.
+///
+/// This is the streaming engine's per-record parse. `at` is where the
+/// record starts in the whole input, so error positions are the
+/// input's, as a parse of the whole document would report them. `seed`
+/// must already hold `root` and the attribute names; the buffer becomes
+/// the shared text backing, as in [`parse_seeded_owned`]. An empty
+/// record gives a document holding only the root.
+pub fn parse_record(
+    record: String,
+    root: Sym,
+    attributes: &[SymAttribute],
+    at: Position,
+    seed: Interner,
+) -> Result<Document, XmlError> {
+    let options = ParseOptions::default();
+    parse_shared(record, options, seed, at, Some((root, attributes)))
+}
+
+fn parse_shared(
+    input: String,
+    options: ParseOptions,
+    seed: Interner,
+    at: Position,
+    root: Option<(Sym, &[SymAttribute])>,
 ) -> Result<Document, XmlError> {
     let buf = std::sync::Arc::new(input);
-    let mut lexer = Lexer::from_shared(&buf);
+    let mut lexer = Lexer::from_shared_at(&buf, at);
     lexer.set_interner(seed);
-    let result = build_tree(&mut lexer, options);
+    let result = build_tree(&mut lexer, options, root);
     let (zero_copy, materialized) = lexer.span_stats();
     crate::lexer::record_span_stats(zero_copy, materialized);
     result
 }
 
-/// Drives the lexer to completion, building the tree.
-fn build_tree(lexer: &mut Lexer<'_>, options: ParseOptions) -> Result<Document, XmlError> {
+/// Drives the lexer to completion, building the tree. With `root`, the
+/// open-element stack starts with that element already open.
+fn build_tree(
+    lexer: &mut Lexer<'_>,
+    options: ParseOptions,
+    root: Option<(Sym, &[SymAttribute])>,
+) -> Result<Document, XmlError> {
     let mut doc = Document::new();
     // Data-centric XML runs well under one node per 32 input bytes
     // (`<a>x</a>` is two nodes in nine bytes; real tags are longer), so
@@ -107,8 +140,16 @@ fn build_tree(lexer: &mut Lexer<'_>, options: ParseOptions) -> Result<Document, 
     doc.reserve_nodes((lexer.remaining_len() / 32).min(1 << 20));
     // Stack of open elements; the document node is the base.
     let mut stack: Vec<NodeId> = vec![doc.document_node()];
-    let mut open_names: Vec<crate::intern::Sym> = Vec::new();
+    let mut open_names: Vec<Sym> = Vec::new();
     let mut saw_root = false;
+    if let Some((name, attributes)) = root {
+        let element = doc.create_element_with_attributes(name, attributes.to_vec())?;
+        doc.attach_new_child(doc.document_node(), element);
+        stack.push(element);
+        open_names.push(name);
+        saw_root = true;
+    }
+    let base = stack.len();
 
     while let Some(SpannedToken { token, position }) = lexer.next_token()? {
         let in_root = stack.len() > 1;
@@ -231,7 +272,7 @@ fn build_tree(lexer: &mut Lexer<'_>, options: ParseOptions) -> Result<Document, 
         }
     }
 
-    if stack.len() > 1 {
+    if stack.len() > base {
         let position = lexer.position();
         return Err(XmlError::at(
             XmlErrorKind::UnexpectedEof {
@@ -423,7 +464,7 @@ mod tests {
 
     #[test]
     fn seeded_parse_keeps_prototype_symbol_ids() {
-        let mut seed = crate::intern::Interner::new();
+        let mut seed = Interner::new();
         let db = seed.intern("db");
         let book = seed.intern("book");
         let title = seed.intern("title");
@@ -440,6 +481,40 @@ mod tests {
         // Unseeded names extend past the seed.
         let doc = parse_seeded("<db><new/></db>", ParseOptions::default(), seed.clone()).unwrap();
         assert!(doc.lookup_sym("new").unwrap().index() >= seed.len());
+    }
+
+    #[test]
+    fn record_parses_under_its_root_at_its_input_position() {
+        let mut seed = Interner::new();
+        let db = seed.intern("db");
+        let version = seed.intern("version");
+        let attributes = [SymAttribute {
+            name: version,
+            value: "2".into(),
+        }];
+        let at = Position { line: 3, column: 5 };
+        let record = "<book><title>B</title></book>";
+        let doc = parse_record(record.into(), db, &attributes, at, seed.clone()).unwrap();
+        assert_eq!(
+            crate::to_string(&doc),
+            "<db version=\"2\"><book><title>B</title></book></db>"
+        );
+        assert_eq!(doc.lookup_sym("db"), Some(db));
+        // Errors sit where the record sits in the whole input, as the
+        // whole-document parse reports them.
+        let whole = "<db version=\"2\">\n<book/>\n    <book><title>B</yaer></book>\n</db>";
+        let bad = "<book><title>B</yaer></book>";
+        let err = parse_record(bad.into(), db, &attributes, at, seed.clone()).unwrap_err();
+        assert_eq!(err, parse(whole).unwrap_err());
+        assert_eq!(
+            err.to_string(),
+            "mismatched close tag </yaer> for open element <title> at 3:19"
+        );
+        // An empty record is the root alone; an unclosed one is an error.
+        let empty = parse_record(String::new(), db, &[], at, seed.clone()).unwrap();
+        assert_eq!(crate::to_string(&empty), "<db/>");
+        let open = parse_record("<book>".into(), db, &[], at, seed).unwrap_err();
+        assert!(matches!(open.kind, XmlErrorKind::UnexpectedEof { .. }));
     }
 
     #[test]

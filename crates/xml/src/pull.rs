@@ -10,9 +10,15 @@
 //! single-pass engine, which must tokenize documents larger than memory.
 //!
 //! Consumed input is discarded incrementally (amortized compaction), so
-//! memory use is bounded by the largest *held* span (see
-//! [`PullParser::hold_from`]) plus one compaction window — not by the
-//! document size.
+//! memory use is bounded by the unconsumed input plus one compaction
+//! window — not by the document size.
+//!
+//! A caller that wants whole elements rather than their tokens (the
+//! `wmx-stream` record splitter) asks [`PullParser::scan_element`]: it
+//! finds where the element at the parser's position ends with a byte
+//! scan that builds no token, keeps its place across pushes, and hands
+//! the element's raw text over with its line and column, keeping the
+//! parser's position exact.
 //!
 //! # Example
 //!
@@ -37,9 +43,10 @@
 //! ));
 //! ```
 
-use crate::error::{XmlError, XmlErrorKind};
+use crate::error::{Position, XmlError, XmlErrorKind};
 use crate::intern::Interner;
 use crate::lexer::Lexer;
+use crate::scan::{ElementScan, Found};
 use crate::token::{SpannedToken, Token};
 
 /// Consumed bytes are dropped from the front of the buffer once at least
@@ -79,10 +86,33 @@ pub enum Pulled {
     End,
 }
 
+/// What [`PullParser::scan_element`] found at the parser's position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scanned<'a> {
+    /// The buffered input ends before the scan can tell: push more input
+    /// (or finish) and scan again. The scan resumes where it stopped.
+    NeedMore,
+    /// An element, consumed without lexing, after any whitespace before
+    /// it was dropped: its raw text and where it starts in the input.
+    Element {
+        /// The element's bytes, from its `<` to the `>` that closes it.
+        text: &'a str,
+        /// Line and column of its `<`.
+        at: Position,
+    },
+    /// Pull what comes next with [`PullParser::next`]: no element starts
+    /// here, or one the scan cannot bound starts here (it holds markup no
+    /// token starts with, or the input ends inside it), whose tokens lead
+    /// to the lexer's error. Whitespace before markup was dropped; before
+    /// a text run it is part of the text.
+    Tokens,
+}
+
 /// A resumable, incrementally-fed XML tokenizer.
 #[derive(Debug)]
 pub struct PullParser {
-    /// Unconsumed tail of the stream (plus any held prefix).
+    /// Unconsumed tail of the stream, after consumed bytes not yet
+    /// compacted away.
     buf: String,
     /// Stream offset of `buf[0]`.
     base: u64,
@@ -91,9 +121,6 @@ pub struct PullParser {
     line: u32,
     column: u32,
     finished: bool,
-    /// Stream offset before which bytes must be retained for
-    /// [`PullParser::raw_range`] (set by [`PullParser::hold_from`]).
-    hold: Option<u64>,
     /// Bytes past `pos` already probed for the current incomplete
     /// token's terminator. Makes repeated NeedMore→push→retry cycles on
     /// one large token scan only the newly pushed bytes (linear total)
@@ -102,6 +129,8 @@ pub struct PullParser {
     /// Name table shared by every resumed lexing step, so the symbols in
     /// pulled tokens stay stable across chunk boundaries.
     interner: Interner,
+    /// The element scan in progress at `pos`, kept across pushes.
+    scan: ElementScan,
     /// Accumulated lexer span counters for *accepted* tokens (rolled-back
     /// NeedMore attempts are excluded); flushed to telemetry on drop.
     spans_zero_copy: u64,
@@ -130,9 +159,9 @@ impl PullParser {
             line: 1,
             column: 1,
             finished: false,
-            hold: None,
             probed: 0,
             interner: Interner::new(),
+            scan: ElementScan::default(),
             spans_zero_copy: 0,
             spans_materialized: 0,
         }
@@ -145,11 +174,9 @@ impl PullParser {
 
     /// Creates a parser over a complete input (pushed and finished).
     /// Offsets reported by [`PullParser::stream_offset`] then index
-    /// directly into `input`, and [`PullParser::raw_range`] can recover
-    /// any span (one-shot parsers never compact).
+    /// directly into `input` (one-shot parsers never compact).
     pub fn from_complete(input: &str) -> Self {
         let mut pull = PullParser::new();
-        pull.hold = Some(0); // retain everything: offsets stay stable
         pull.buf.push_str(input);
         pull.finish();
         pull
@@ -179,41 +206,63 @@ impl PullParser {
         self.base + self.pos as u64
     }
 
-    /// Keeps all bytes from stream offset `from` onwards in memory so
-    /// that [`PullParser::raw_range`] can return them later. Memory use
-    /// grows with the held span until [`PullParser::release_hold`].
-    pub fn hold_from(&mut self, from: u64) {
-        debug_assert!(from >= self.base, "cannot hold already-discarded bytes");
-        self.hold = Some(from);
-    }
-
-    /// Releases the hold; consumed bytes may be discarded again.
-    pub fn release_hold(&mut self) {
-        self.hold = None;
-    }
-
-    /// The raw input bytes between stream offsets `start` and `end`, if
-    /// still buffered (guaranteed while a [`PullParser::hold_from`] at or
-    /// before `start` is in place).
-    pub fn raw_range(&self, start: u64, end: u64) -> Option<&str> {
-        if start < self.base || end < start {
-            return None;
+    fn position(&self) -> Position {
+        Position {
+            line: self.line,
+            column: self.column,
         }
-        let s = (start - self.base) as usize;
-        let e = (end - self.base) as usize;
-        self.buf.get(s..e)
     }
 
+    /// Consumes the next `len` bytes without lexing them, keeping line
+    /// and column exact, and returns them. `len` always ends on an ASCII
+    /// delimiter the scan found.
+    fn skip_raw(&mut self, len: usize) -> &str {
+        let start = self.pos;
+        self.pos += len;
+        self.probed = 0;
+        self.scan.restart();
+        let skipped = &self.buf[start..self.pos];
+        crate::scan::advance_position(skipped.as_bytes(), &mut self.line, &mut self.column);
+        skipped
+    }
+
+    /// Reads the element at the parser's position whole, for a caller
+    /// that handles an element's bytes itself: the scan finds where the
+    /// element ends without building tokens, so the caller's own parse
+    /// of those bytes is their only lex. The parser must be in element
+    /// content. See [`Scanned`] for the outcomes.
+    pub fn scan_element(&mut self) -> Scanned<'_> {
+        match self.scan.step(&self.buf[self.pos..], self.finished) {
+            Found::NeedMore => Scanned::NeedMore,
+            Found::Element { ws, len } => {
+                self.skip_raw(ws);
+                let at = self.position();
+                let text = self.skip_raw(len);
+                Scanned::Element { text, at }
+            }
+            // The scan keeps its place until something is consumed.
+            Found::Tokens { ws: 0 } => Scanned::Tokens,
+            Found::Tokens { ws } => {
+                self.skip_raw(ws);
+                Scanned::Tokens
+            }
+        }
+    }
+
+    /// Bytes [`PullParser::scan_element`] has examined so far: a work
+    /// count that grows with the input scanned, not with the number of
+    /// pushes an element spans.
+    pub fn scanned_bytes(&self) -> u64 {
+        self.scan.examined()
+    }
+
+    /// Drops consumed bytes once enough have piled up. Unconsumed bytes
+    /// always stay, so the element scan keeps its offsets across pushes.
     fn compact(&mut self) {
-        let hold_idx = self
-            .hold
-            .map(|h| h.saturating_sub(self.base) as usize)
-            .unwrap_or(self.pos);
-        let keep_from = self.pos.min(hold_idx);
-        if keep_from >= COMPACT_THRESHOLD {
-            self.buf.drain(..keep_from);
-            self.base += keep_from as u64;
-            self.pos -= keep_from;
+        if self.pos >= COMPACT_THRESHOLD {
+            self.buf.drain(..self.pos);
+            self.base += self.pos as u64;
+            self.pos = 0;
         }
     }
 
@@ -294,6 +343,7 @@ impl PullParser {
                 self.spans_materialized += materialized;
                 self.pos += consumed;
                 self.probed = 0;
+                self.scan.restart();
                 let after = lexer.position();
                 self.line = after.line;
                 self.column = after.column;
@@ -445,21 +495,42 @@ mod tests {
     }
 
     #[test]
-    fn stream_offsets_and_raw_range() {
-        let input = "<db><book>x</book></db>";
+    fn scanned_elements_keep_offsets_and_positions() {
+        let input = "<db>\n  <a k=\"中\">x</a><b/>\n</db>";
         let mut pull = PullParser::from_complete(input);
         pull.next().unwrap(); // <db>
-        let start = pull.stream_offset();
-        assert_eq!(start, 4);
-        pull.next().unwrap(); // <book>
-        pull.next().unwrap(); // x
-        pull.next().unwrap(); // </book>
-        let end = pull.stream_offset();
-        assert_eq!(pull.raw_range(start, end), Some("<book>x</book>"));
+        let Scanned::Element { text, at } = pull.scan_element() else {
+            panic!("expected an element");
+        };
+        assert_eq!(
+            (text, at),
+            ("<a k=\"中\">x</a>", Position { line: 2, column: 3 })
+        );
+        // Columns count characters, as the lexer's do.
+        let Scanned::Element { text, at } = pull.scan_element() else {
+            panic!("expected an element");
+        };
+        assert_eq!(
+            (text, at),
+            (
+                "<b/>",
+                Position {
+                    line: 2,
+                    column: 17
+                }
+            )
+        );
+        assert_eq!(pull.stream_offset(), 27);
+        // Whitespace before markup is dropped; the end tag is lexed.
+        assert_eq!(pull.scan_element(), Scanned::Tokens);
+        match pull.next().unwrap() {
+            Pulled::Token(t) => assert_eq!(t.position, Position { line: 3, column: 1 }),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
-    fn hold_preserves_bytes_across_compaction() {
+    fn element_scan_resumes_across_pushes_and_compaction() {
         let mut pull = PullParser::new();
         let filler = format!("<filler>{}</filler>", "y".repeat(2 * COMPACT_THRESHOLD));
         pull.push_str("<db>");
@@ -470,16 +541,21 @@ mod tests {
             assert!(matches!(pull.next().unwrap(), Pulled::Token(_)));
         }
         let start = pull.stream_offset();
-        pull.hold_from(start);
-        pull.push_str("<a>kept</a>"); // would compact without the hold
-        pull.push_str("</db>");
-        pull.finish();
-        for _ in 0..3 {
-            assert!(matches!(pull.next().unwrap(), Pulled::Token(_))); // <a>, kept, </a>
-        }
-        let end = pull.stream_offset();
-        assert_eq!(pull.raw_range(start, end), Some("<a>kept</a>"));
-        pull.release_hold();
+        assert_eq!(pull.scan_element(), Scanned::NeedMore);
+        pull.push_str("<a>ke"); // compacts: only consumed bytes go
+        assert_eq!(pull.scan_element(), Scanned::NeedMore);
+        pull.push_str("pt</a></db>");
+        assert!(pull.buf.len() < COMPACT_THRESHOLD);
+        assert!(matches!(
+            pull.scan_element(),
+            Scanned::Element {
+                text: "<a>kept</a>",
+                ..
+            }
+        ));
+        assert_eq!(pull.stream_offset(), start + 11);
+        // Each byte was examined once, not once per push.
+        assert!(pull.scanned_bytes() <= 11, "{}", pull.scanned_bytes());
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! lexer's rare non-ASCII paths can decode a single scalar without the
 //! scan files themselves touching `str::chars` — CI denies char
 //! iteration there.
+//!
+//! `ElementScan` puts the searches together into a resumable scan for
+//! where an element ends, by counting depth: the pull parser hands
+//! whole elements to its caller with it, without lexing them.
 
 const W: usize = std::mem::size_of::<usize>();
 /// `0x7F` in every byte lane.
@@ -161,6 +165,7 @@ pub fn char_count(bytes: &[u8]) -> usize {
 pub fn advance_position(bytes: &[u8], line: &mut u32, column: &mut u32) {
     const C0: usize = usize::from_ne_bytes([0xC0; W]);
     const NL: usize = usize::from_ne_bytes([b'\n'; W]);
+    const LO: usize = usize::from_ne_bytes([0x01; W]);
     let mut chunks = bytes.chunks_exact(W);
     let mut lines = 0u32;
     // Characters seen since the last newline (the whole span if none).
@@ -168,7 +173,16 @@ pub fn advance_position(bytes: &[u8], line: &mut u32, column: &mut u32) {
     let mut saw_nl = false;
     for chunk in &mut chunks {
         let w = load(chunk);
-        let nl_mask = zero_byte_mask(w ^ NL);
+        // Most words are ASCII with no newline: W more characters. The
+        // borrowing zero test is exact about whether a zero lane exists
+        // (only which lanes it marks can be wrong), and a word with any
+        // high bit set takes the exact path below anyway.
+        let x = w ^ NL;
+        if ((x.wrapping_sub(LO) & !x) | w) & HI == 0 {
+            col_chars += W as u32;
+            continue;
+        }
+        let nl_mask = zero_byte_mask(x);
         let cont_mask = zero_byte_mask((w & C0) ^ HI);
         if nl_mask == 0 {
             col_chars += W as u32 - cont_mask.count_ones();
@@ -262,6 +276,324 @@ pub fn prefix_chars(s: &str, n: usize) -> &str {
     match s.char_indices().nth(n) {
         Some((end, _)) => &s[..end],
         None => s,
+    }
+}
+
+/// What the `<` that starts some markup opens.
+#[derive(Debug, Clone, Copy)]
+enum Markup {
+    StartTag,
+    EndTag,
+    /// A comment, CDATA section or PI: an `open`-byte opener, then
+    /// content up to `closer`, which cannot occur inside it.
+    Delimited {
+        open: usize,
+        closer: &'static [u8],
+    },
+    /// A DOCTYPE declaration (the lexer accepts one anywhere).
+    Doctype,
+    /// Markup no token starts with: the lexer rejects it.
+    Invalid,
+}
+
+/// The markups that start with `<!`. A buffer that ends inside one of
+/// these openers cannot be classified yet.
+const BANG_OPENERS: [(&str, Markup); 4] = [
+    (
+        "<!--",
+        Markup::Delimited {
+            open: 4,
+            closer: b"-->",
+        },
+    ),
+    (
+        "<![CDATA[",
+        Markup::Delimited {
+            open: 9,
+            closer: b"]]>",
+        },
+    ),
+    ("<!DOCTYPE", Markup::Doctype),
+    ("<!doctype", Markup::Doctype),
+];
+
+/// Classifies the markup `rest` starts with (`rest` starts with `<`), or
+/// `None` when `rest` ends before that can be told. Start tags are told
+/// by the same name-start test the lexer applies.
+fn markup(rest: &str) -> Option<Markup> {
+    let markup = match *rest.as_bytes().get(1)? {
+        b'/' => Markup::EndTag,
+        b'?' => Markup::Delimited {
+            open: 2,
+            closer: b"?>",
+        },
+        b'!' => {
+            for (opener, markup) in BANG_OPENERS {
+                if rest.starts_with(opener) {
+                    return Some(markup);
+                }
+                if opener.starts_with(rest) {
+                    return None;
+                }
+            }
+            Markup::Invalid
+        }
+        b if is_ascii_name_start_byte(b) => Markup::StartTag,
+        b if !b.is_ascii() && char_at(rest, 1).is_some_and(crate::lexer::is_name_start) => {
+            Markup::StartTag
+        }
+        _ => Markup::Invalid,
+    };
+    Some(markup)
+}
+
+/// What the next byte an [`ElementScan`] examines is inside of.
+#[derive(Debug, Clone, Copy, Default)]
+enum Inside {
+    /// Whitespace ahead of whatever comes next.
+    #[default]
+    Lead,
+    /// The element's content.
+    Content,
+    /// A start tag, and the quote of the attribute value it is in.
+    StartTag {
+        quote: Option<u8>,
+    },
+    EndTag,
+    /// A comment, CDATA section or PI whose content starts at `from`.
+    Delimited {
+        from: usize,
+        closer: &'static [u8],
+    },
+    /// A DOCTYPE declaration: `depth` angle brackets open, and whether
+    /// the scan is inside its `[...]` subset.
+    Doctype {
+        depth: usize,
+        subset: bool,
+    },
+}
+
+/// What an [`ElementScan`] of the unconsumed input found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Found {
+    /// The input ends before the scan can tell.
+    NeedMore,
+    /// `ws` bytes of whitespace, then an element of `len` bytes.
+    Element { ws: usize, len: usize },
+    /// `ws` bytes of whitespace to drop, then content for the lexer:
+    /// text, a comment, CDATA or PI, an end tag, markup the lexer
+    /// rejects, or an element the scan cannot bound.
+    Tokens { ws: usize },
+}
+
+/// A resumable element-boundary scan over unconsumed input that sits
+/// in element content: leading whitespace, then, if an element starts
+/// there, its bytes up to the `>` that closes it, found by counting
+/// element depth over the SWAR searches above. It builds no token and
+/// checks nothing the lexer checks; it only agrees with the lexer on
+/// where every construct the lexer accepts ends. Offsets are relative
+/// to the start of the input, which must not move until the scan is
+/// done, so each byte is examined once however many pushes an element
+/// spans.
+#[derive(Debug, Default)]
+pub(crate) struct ElementScan {
+    /// Offset of the next byte to examine.
+    at: usize,
+    /// Where the element starts, once its start tag is seen.
+    start: usize,
+    /// Elements open inside it.
+    depth: usize,
+    inside: Inside,
+    /// Bytes the searches examined over the scan's life, restarts
+    /// included: a work count showing that resumption is linear.
+    examined: u64,
+}
+
+impl ElementScan {
+    /// Scans `text`, the unconsumed input, on from where the last call
+    /// stopped. With `finished` no more input comes, so the scan decides.
+    pub(crate) fn step(&mut self, text: &str, finished: bool) -> Found {
+        match self.advance(text) {
+            Found::NeedMore if finished => Found::Tokens {
+                ws: match self.inside {
+                    Inside::Lead => self.at,
+                    _ => self.start,
+                },
+            },
+            found => found,
+        }
+    }
+
+    /// The first byte from `at` on that `find` picks out; on a miss the
+    /// scan moves to the end of `bytes`.
+    fn seek(
+        &mut self,
+        bytes: &[u8],
+        mut find: impl FnMut(&[u8]) -> Option<usize>,
+    ) -> Option<usize> {
+        let hay = &bytes[self.at..];
+        let hit = find(hay);
+        self.examined += hit.map_or(hay.len(), |i| i + 1) as u64;
+        match hit {
+            Some(i) => Some(self.at + i),
+            None => {
+                self.at = bytes.len();
+                None
+            }
+        }
+    }
+
+    fn advance(&mut self, text: &str) -> Found {
+        let bytes = text.as_bytes();
+        loop {
+            match self.inside {
+                Inside::Lead => {
+                    let not_space = |h: &[u8]| h.iter().position(|&b| !is_ascii_whitespace_byte(b));
+                    let Some(i) = self.seek(bytes, not_space) else {
+                        return Found::NeedMore;
+                    };
+                    self.at = i;
+                    if bytes[i] != b'<' {
+                        // Text, and the whitespace is part of it.
+                        return Found::Tokens { ws: 0 };
+                    }
+                    match markup(&text[i..]) {
+                        None => return Found::NeedMore,
+                        Some(Markup::StartTag) => {
+                            self.start = i;
+                            self.inside = Inside::StartTag { quote: None };
+                            self.at = i + 1;
+                        }
+                        Some(_) => return Found::Tokens { ws: i },
+                    }
+                }
+                Inside::Content => {
+                    let Some(i) = self.seek(bytes, |h| memchr(b'<', h)) else {
+                        return Found::NeedMore;
+                    };
+                    self.at = i;
+                    let (inside, open) = match markup(&text[i..]) {
+                        None => return Found::NeedMore,
+                        Some(Markup::StartTag) => (Inside::StartTag { quote: None }, 1),
+                        Some(Markup::EndTag) => (Inside::EndTag, 2),
+                        Some(Markup::Delimited { open, closer }) => {
+                            let from = i + open;
+                            (Inside::Delimited { from, closer }, open)
+                        }
+                        Some(Markup::Doctype) => {
+                            let open = "<!DOCTYPE".len();
+                            (
+                                Inside::Doctype {
+                                    depth: 1,
+                                    subset: false,
+                                },
+                                open,
+                            )
+                        }
+                        Some(Markup::Invalid) => return Found::Tokens { ws: self.start },
+                    };
+                    self.inside = inside;
+                    self.at = i + open;
+                }
+                Inside::StartTag { quote: Some(q) } => {
+                    let Some(i) = self.seek(bytes, |h| memchr(q, h)) else {
+                        return Found::NeedMore;
+                    };
+                    self.inside = Inside::StartTag { quote: None };
+                    self.at = i + 1;
+                }
+                Inside::StartTag { quote: None } => {
+                    let tag_end = |h: &[u8]| memchr3(b'"', b'\'', b'>', h);
+                    let Some(i) = self.seek(bytes, tag_end) else {
+                        return Found::NeedMore;
+                    };
+                    self.at = i + 1;
+                    if bytes[i] != b'>' {
+                        self.inside = Inside::StartTag {
+                            quote: Some(bytes[i]),
+                        };
+                        continue;
+                    }
+                    // `/>` opens nothing. The tag's `<` precedes, so
+                    // `i > 0`, and a `/` there is outside any quote.
+                    if bytes[i - 1] != b'/' {
+                        self.depth += 1;
+                    }
+                    if let Some(found) = self.after_tag() {
+                        return found;
+                    }
+                }
+                Inside::EndTag => {
+                    let Some(i) = self.seek(bytes, |h| memchr(b'>', h)) else {
+                        return Found::NeedMore;
+                    };
+                    self.at = i + 1;
+                    self.depth -= 1;
+                    if let Some(found) = self.after_tag() {
+                        return found;
+                    }
+                }
+                Inside::Delimited { from, closer } => {
+                    // Every closer ends in `>`: test the bytes before each.
+                    let Some(i) = self.seek(bytes, |h| memchr(b'>', h)) else {
+                        return Found::NeedMore;
+                    };
+                    self.at = i + 1;
+                    if self.at >= from + closer.len() && bytes[..self.at].ends_with(closer) {
+                        self.inside = Inside::Content;
+                    }
+                }
+                Inside::Doctype { depth, subset } => {
+                    // The lexer's DOCTYPE extent: nested angle brackets,
+                    // ignored inside the `[...]` subset.
+                    let (mut depth, mut subset) = (depth, subset);
+                    let end = self.seek(bytes, |h| {
+                        h.iter().position(|&b| {
+                            match b {
+                                b'[' => subset = true,
+                                b']' => subset = false,
+                                b'<' if !subset => depth += 1,
+                                b'>' if !subset => depth -= 1,
+                                _ => return false,
+                            }
+                            depth == 0
+                        })
+                    });
+                    let Some(i) = end else {
+                        self.inside = Inside::Doctype { depth, subset };
+                        return Found::NeedMore;
+                    };
+                    self.inside = Inside::Content;
+                    self.at = i + 1;
+                }
+            }
+        }
+    }
+
+    /// Starts over at a new start of input, after the caller consumed
+    /// some.
+    pub(crate) fn restart(&mut self) {
+        *self = ElementScan {
+            examined: self.examined,
+            ..ElementScan::default()
+        };
+    }
+
+    /// Bytes the searches examined over the scan's life.
+    pub(crate) fn examined(&self) -> u64 {
+        self.examined
+    }
+
+    /// After a tag's `>`: the element, if that tag closed it.
+    fn after_tag(&mut self) -> Option<Found> {
+        if self.depth == 0 {
+            return Some(Found::Element {
+                ws: self.start,
+                len: self.at - self.start,
+            });
+        }
+        self.inside = Inside::Content;
+        None
     }
 }
 
@@ -391,6 +723,22 @@ mod tests {
         #[test]
         fn char_count_equals_chars(s in "\\PC*") {
             prop_assert_eq!(char_count(s.as_bytes()), s.chars().count());
+        }
+
+        #[test]
+        fn advance_position_equals_char_walk(s in "[a\n\t\r\x7f\0 <>üé中]{0,64}", col in 1u32..9) {
+            let (mut line, mut column) = (1u32, col);
+            advance_position(s.as_bytes(), &mut line, &mut column);
+            let (mut rl, mut rc) = (1u32, col);
+            for c in s.chars() {
+                if c == '\n' {
+                    rl += 1;
+                    rc = 1;
+                } else {
+                    rc += 1;
+                }
+            }
+            prop_assert_eq!((line, column), (rl, rc));
         }
 
         #[test]

@@ -648,3 +648,154 @@ fn every_worker_count_accepts_and_rejects_the_same_inputs() {
     assert_eq!(fault.skipped_records, vec![9]);
     assert!(fault.truncated);
 }
+
+/// The adversarial package's document with its second record damaged by
+/// `damage`, which maps the clean record to the damaged bytes.
+fn damaged_doc(damage: impl Fn(&str) -> String) -> String {
+    let records = [
+        "<book><title>A</title><year>1999</year></book>",
+        "<book><title>B</title><year>2000</year><note>n</note></book>",
+        "<book><title>C</title><year>2001</year></book>",
+    ];
+    format!(
+        "<db version=\"2\">\n  {}\n  {}\n  {}\n</db>\n",
+        records[0],
+        damage(records[1]),
+        records[2]
+    )
+}
+
+#[test]
+fn strict_errors_sit_where_the_dom_parser_puts_them() {
+    let (binding, config) = adversarial_package();
+    let ctx = StreamContext {
+        binding: &binding,
+        fds: &[],
+        config: &config,
+    };
+    let cases: Vec<(&str, String)> = vec![
+        (
+            "mismatched close",
+            damaged_doc(|r| r.replace("</year>", "</yaer>")),
+        ),
+        (
+            "unquoted attribute value",
+            damaged_doc(|r| r.replace("<title>", "<title a=1>")),
+        ),
+        (
+            "raw < in an attribute value",
+            damaged_doc(|r| r.replace("<title>", "<title a=\"x<y\">")),
+        ),
+        (
+            "bad entity reference",
+            damaged_doc(|r| r.replace(">B<", ">B &bogus;<")),
+        ),
+        (
+            "unterminated comment inside a record",
+            damaged_doc(|r| r.replace("<note>", "<!-- open <note>")),
+        ),
+        (
+            "input cut mid-record",
+            damaged_doc(|r| r.to_string())
+                .split_once("<year>2000")
+                .map(|(head, _)| format!("{head}<ye"))
+                .unwrap(),
+        ),
+    ];
+    for (name, doc) in &cases {
+        let want = format!("xml error: {}", parse(doc).unwrap_err());
+        for workers in [1usize, 2, 3, 8] {
+            let detect = wmx_stream::detect(
+                doc.as_bytes(),
+                workers,
+                DetectMode::Strict,
+                ctx,
+                &key(),
+                &wm(),
+                0.85,
+            );
+            let embed =
+                wmx_stream::embed(doc.as_bytes(), std::io::sink(), workers, ctx, &key(), &wm());
+            assert_eq!(
+                detect.unwrap_err().to_string(),
+                want,
+                "{name}: workers={workers}"
+            );
+            assert_eq!(
+                embed.unwrap_err().to_string(),
+                want,
+                "{name}: workers={workers}"
+            );
+        }
+        let trickle = std::io::BufReader::with_capacity(
+            5,
+            Trickle {
+                data: doc.as_bytes(),
+                pos: 0,
+            },
+        );
+        let err = stream_detect(trickle, ctx, &key(), &wm(), 0.85).unwrap_err();
+        assert_eq!(err.to_string(), want, "{name}: 5-byte reads");
+    }
+    // The lexical errors sit in the second record's line.
+    assert!(cases[..4]
+        .iter()
+        .all(|(_, doc)| parse(doc).unwrap_err().to_string().contains(" at 3:")));
+}
+
+#[test]
+fn forensic_detection_salvages_the_records_after_a_lexically_damaged_one() {
+    let dataset = publications::generate(&publications::PublicationsConfig {
+        records: 60,
+        editors: 6,
+        seed: 51,
+        gamma: 2,
+    });
+    let (marked, _) = dom_embed_bytes(&to_string(&dataset.doc), &dataset);
+    // Record 9's title gets an unquoted attribute value: its tags still
+    // balance, so the reader returns it and only its own parse fails.
+    let at = marked.match_indices("<title>").nth(9).unwrap().0;
+    let damaged = format!("{}<title a=1>{}", &marked[..at], &marked[at + 7..]);
+    // Strict mode rejects what the DOM rejects, with the DOM's error.
+    let dom_error = parse(&damaged).unwrap_err();
+    let strict = stream_detect(damaged.as_bytes(), ctx(&dataset), &key(), &wm(), 0.85);
+    assert_eq!(
+        strict.unwrap_err().to_string(),
+        format!("xml error: {dom_error}")
+    );
+    // Forensic mode skips record 9 and keeps voting to the end: the
+    // votes are those of the document without that record.
+    let mut without = parse(&marked).unwrap();
+    let root = without.root_element().unwrap();
+    let ninth = without.child_elements(root).nth(9).unwrap();
+    without.detach(ninth);
+    let rest = stream_detect(
+        to_string(&without).as_bytes(),
+        ctx(&dataset),
+        &key(),
+        &wm(),
+        0.85,
+    )
+    .unwrap();
+    let reference = par_detect_forensic(&damaged, 1, ctx(&dataset), &key(), &wm(), 0.85).unwrap();
+    let fault = reference.fault.clone().expect("damage reported");
+    assert_eq!(fault.skipped_records, vec![9]);
+    assert!(!fault.truncated);
+    assert_eq!(fault.records_processed, 59);
+    assert_eq!(reference.records, 59);
+    assert_eq!(reference.report.bit_votes, rest.report.bit_votes);
+    for workers in [2usize, 3, 8] {
+        let par =
+            par_detect_forensic(&damaged, workers, ctx(&dataset), &key(), &wm(), 0.85).unwrap();
+        assert_eq!(par.fault, reference.fault, "workers={workers}");
+        assert_eq!(par.records, reference.records, "workers={workers}");
+        assert_eq!(
+            par.report.bit_votes, reference.report.bit_votes,
+            "workers={workers}"
+        );
+        assert_eq!(
+            par.report.forensics, reference.report.forensics,
+            "workers={workers}"
+        );
+    }
+}
