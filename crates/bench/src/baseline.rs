@@ -14,9 +14,9 @@
 //!   regressions everywhere while stricter floors can be set per-metric
 //!   by editing the baseline file.
 
-use crate::json::{obj, Json};
 use crate::report::{BenchReport, SCHEMA_VERSION};
 use std::path::Path;
+use wmx_telemetry::json::{obj, Json};
 
 /// Default allowed fractional drop for `throughput/…` metrics when a
 /// baseline is refreshed: the gate only fails when throughput falls
@@ -326,10 +326,8 @@ mod tests {
                 votes_ones: 10,
                 votes_zeros: 5,
             }],
-            forensics: vec![crate::report::ForensicsStat::new(
-                "localize@0.05",
-                vec![("precision", 1.0)],
-            )],
+            forensics: vec![crate::report::Point::new("localize@0.05", &["precision"]).stat(&[1.0])],
+            claims: vec![],
         }
     }
 

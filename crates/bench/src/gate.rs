@@ -2,36 +2,31 @@
 //! writes `BENCH_<workload>.json`, and compares it against a checked-in
 //! baseline (`crates/bench/baselines/<workload>.json`).
 //!
-//! Exit-code contract (used by the `gate` binary, the `wmxml bench`
-//! subcommand, and CI):
+//! Exit-code contract (used by the `gate` binary and CI):
 //!
 //! * `0` — every pinned metric is at or above its floor.
 //! * `2` — a throughput metric regressed past its tolerance, a
-//!   detection-rate/match-fraction metric dropped at all, or a pinned
-//!   metric vanished from the report.
+//!   deterministic metric (robustness, forensics, claims) dropped at
+//!   all, or a pinned metric vanished from the report.
 //! * `1` — operational failure (unreadable baseline, I/O error); the
 //!   binary maps `Err` to this.
 
 use crate::baseline::{baseline_from_report, compare, Baseline, Comparison};
+use crate::experiments::{self, Rows, CLAIM_POINTS};
 use crate::measure::{peak_rss_kb, MeasureConfig, Measurement};
-use crate::report::{
-    BenchReport, ForensicsStat, RobustnessStat, RunContext, ThroughputStat, SCHEMA_VERSION,
+use crate::report::{BenchReport, Point, RunContext, ScenarioStat, ThroughputStat, SCHEMA_VERSION};
+use crate::workloads::{
+    escape_microbench_input, marked_publications, streaming_publications, MarkedWorkload,
 };
-use crate::workloads::{escape_microbench_input, marked_publications, streaming_publications};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use wmx_attacks::redundancy::UnifyStrategy;
-use wmx_attacks::{
-    AlterationAttack, GarbleAttack, GarbleMode, ReductionAttack, RedundancyRemovalAttack,
-    RoundingAttack, TruncationAttack,
-};
+use wmx_attacks::{GarbleAttack, GarbleMode, TruncationAttack};
 use wmx_core::{
-    detect, detect_forensic, embed, DetectionInput, DetectionReport, EncoderConfig,
-    ForensicContext, MarkableAttr, UnitStatus, Watermark,
+    detect, detect_forensic, embed, DetectionInput, ForensicContext, UnitStatus, Watermark,
 };
 use wmx_crypto::SecretKey;
 use wmx_data::publications::{self, PublicationsConfig};
-use wmx_telemetry::json::Json as TJson;
+use wmx_telemetry::json::Json;
 
 /// Parameters of one gate suite run. All seeds are fixed so the
 /// robustness grid is bit-for-bit reproducible across machines.
@@ -57,12 +52,6 @@ pub struct SuiteParams {
 
 /// Detection threshold τ used by every suite detection.
 pub const THRESHOLD: f64 = 0.85;
-
-/// Alteration intensities of the E2 grid points.
-pub const E2_ALPHAS: [f64; 3] = [0.10, 0.30, 0.50];
-
-/// Keep fractions of the E3 grid points.
-pub const E3_KEEPS: [f64; 3] = [0.80, 0.40, 0.10];
 
 /// The throughput entry points every suite measures. Besides the six
 /// pipeline entry points, the suite pins the substrate stages the
@@ -99,24 +88,9 @@ pub const THROUGHPUT_NAMES: [&str; 13] = [
     "batch_detect",
 ];
 
-/// Grid-point names in emission order.
-fn grid_point_names() -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for alpha in E2_ALPHAS {
-        names.push(format!("e2_alteration@{alpha:.2}"));
-    }
-    for keep in E3_KEEPS {
-        names.push(format!("e3_reduction@{keep:.2}"));
-    }
-    names.push("e5_redundancy/fd_groups".into());
-    names.push("e10_rounding/numeric_only".into());
-    names.push("e10_rounding/all_families".into());
-    names
-}
-
-/// Forensic-scenario names and their metric keys, in emission order.
-/// Every metric is a deterministic function of the suite seeds, so the
-/// baseline pins them with zero tolerance (like the robustness grid):
+/// The forensic scenarios, in emission order. Every metric is a
+/// deterministic function of the suite seeds, so the baseline pins them
+/// with zero tolerance (like the robustness grid):
 ///
 /// * `localize@0.05` — 5% of the selected numeric units perturbed;
 ///   `precision`/`recall` of suspect-record localization against the
@@ -130,14 +104,11 @@ fn grid_point_names() -> Vec<String> {
 /// * `fault_garble` — a digit-scrambled byte window mid-stream;
 ///   `isolated` is 1.0 iff detection survives and the suspects form a
 ///   non-empty strict subset of the records.
-fn forensic_points() -> Vec<(&'static str, Vec<&'static str>)> {
-    vec![
-        ("localize@0.05", vec!["precision", "recall"]),
-        ("recover@r3", vec!["rate", "detected"]),
-        ("fault_truncate@0.60", vec!["partial"]),
-        ("fault_garble", vec!["isolated"]),
-    ]
-}
+const FORENSIC_POINTS: [Point; 4] = [LOCALIZE, RECOVER, FAULT_TRUNCATE, FAULT_GARBLE];
+const LOCALIZE: Point = Point::new("localize@0.05", &["precision", "recall"]);
+const RECOVER: Point = Point::new("recover@r3", &["rate", "detected"]);
+const FAULT_TRUNCATE: Point = Point::new("fault_truncate@0.60", &["partial"]);
+const FAULT_GARBLE: Point = Point::new("fault_garble", &["isolated"]);
 
 impl SuiteParams {
     /// The CI smoke suite: small and fast, deterministic seeds.
@@ -171,6 +142,11 @@ impl SuiteParams {
         }
     }
 
+    /// The marked publications workload every scenario runs against.
+    pub fn marked_workload(&self) -> MarkedWorkload {
+        marked_publications(self.records, self.editors, self.gamma, self.seed)
+    }
+
     /// The flattened metric names a run of this suite will produce, in
     /// order, without running it — used to validate that a checked-in
     /// baseline still lines up with the suite.
@@ -180,13 +156,18 @@ impl SuiteParams {
             out.push(format!("throughput/{name}/mb_per_s"));
             out.push(format!("throughput/{name}/records_per_s"));
         }
-        for point in grid_point_names() {
+        for point in experiments::robustness_points() {
             out.push(format!("robustness/{point}/detected"));
             out.push(format!("robustness/{point}/match_fraction"));
         }
-        for (point, metrics) in forensic_points() {
-            for metric in metrics {
-                out.push(format!("forensics/{point}/{metric}"));
+        for (section, points) in [
+            ("forensics", &FORENSIC_POINTS[..]),
+            ("claims", &CLAIM_POINTS),
+        ] {
+            for point in points {
+                for metric in point.metrics {
+                    out.push(format!("{section}/{}/{metric}", point.name));
+                }
             }
         }
         out
@@ -201,12 +182,12 @@ pub fn run_suite(p: &SuiteParams) -> BenchReport {
 /// Runs the measurement suite and also returns the forensic-scenario
 /// artifact (the record-level localization detail behind the flattened
 /// `forensics/…` metrics) the gate writes to `FORENSICS_<workload>.json`.
-pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, TJson) {
+pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, Json) {
     let mcfg = MeasureConfig {
         warmup: p.warmup,
         iters: p.iters,
     };
-    let w = marked_publications(p.records, p.editors, p.gamma, p.seed);
+    let w = p.marked_workload();
     let sw = streaming_publications(p.records, p.editors, p.gamma, p.seed);
     let input_bytes = sw.input.len() as u64;
     let records = p.records as u64;
@@ -425,6 +406,14 @@ pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, TJson) {
     throughput.push(ThroughputStat::from_measurement("batch_detect", &m));
 
     let (forensics, forensics_artifact) = forensics_grid(p, &w, &sw, &marked_text);
+    let mut robustness = Vec::new();
+    let mut claims = Vec::new();
+    for experiment in experiments::run(p, &w) {
+        match experiment.rows {
+            Rows::Robustness(rows) => robustness.extend(rows),
+            Rows::Claims(rows) => claims.extend(rows),
+        }
+    }
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,
         workload: p.workload.clone(),
@@ -438,153 +427,15 @@ pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, TJson) {
             peak_rss_kb: peak_rss_kb(),
         },
         throughput,
-        robustness: attack_grid(p, &w),
+        robustness,
         forensics,
+        claims,
     };
     (report, forensics_artifact)
 }
 
-fn detect_with(w: &crate::MarkedWorkload, doc: &wmx_xml::Document) -> DetectionReport {
-    detect(
-        doc,
-        &DetectionInput {
-            queries: &w.report.queries,
-            key: w.key.clone(),
-            watermark: w.watermark.clone(),
-            threshold: THRESHOLD,
-            mapping: None,
-        },
-    )
-}
-
-/// The fixed E2/E3/E5/E10 attack grid (demo attacks A, B, D and the
-/// documented rounding limit), every point seeded deterministically.
-fn attack_grid(p: &SuiteParams, w: &crate::MarkedWorkload) -> Vec<RobustnessStat> {
-    let mut grid = Vec::new();
-
-    // E2 — alteration attack (demo attack A).
-    for alpha in E2_ALPHAS {
-        let mut attacked = w.marked.clone();
-        AlterationAttack::values(
-            alpha,
-            vec!["//book/year".into()],
-            p.seed + (alpha * 100.0) as u64,
-        )
-        .apply(&mut attacked);
-        grid.push(RobustnessStat::from_detection(
-            &format!("e2_alteration@{alpha:.2}"),
-            "e2",
-            &detect_with(w, &attacked),
-        ));
-    }
-
-    // E3 — reduction attack (demo attack B).
-    for keep in E3_KEEPS {
-        let mut attacked = w.marked.clone();
-        ReductionAttack::new(keep, "/db/book", p.seed + (keep * 100.0) as u64).apply(&mut attacked);
-        grid.push(RobustnessStat::from_detection(
-            &format!("e3_reduction@{keep:.2}"),
-            "e3",
-            &detect_with(w, &attacked),
-        ));
-    }
-
-    // E5 — redundancy removal (demo attack D): FD-aware marks survive
-    // unification of duplicated publisher values.
-    {
-        let dataset = publications::generate(&PublicationsConfig {
-            records: p.records,
-            editors: p.editors,
-            seed: p.seed + 50,
-            gamma: 1,
-        });
-        let config = EncoderConfig::new(1, vec![MarkableAttr::text("book", "publisher")]);
-        let key = SecretKey::from_passphrase("gate-e5");
-        let wm = Watermark::from_message("gate-e5", 16);
-        let mut marked = dataset.doc.clone();
-        let report = embed(
-            &mut marked,
-            &dataset.binding,
-            &dataset.fds,
-            &config,
-            &key,
-            &wm,
-        )
-        .expect("e5 embed");
-        let mut attacked = marked.clone();
-        RedundancyRemovalAttack::new(dataset.fds.clone(), UnifyStrategy::MajorityValue)
-            .apply(&mut attacked);
-        let d = detect(
-            &attacked,
-            &DetectionInput {
-                queries: &report.queries,
-                key,
-                watermark: wm,
-                threshold: THRESHOLD,
-                mapping: None,
-            },
-        );
-        grid.push(RobustnessStat::from_detection(
-            "e5_redundancy/fd_groups",
-            "e5",
-            &d,
-        ));
-    }
-
-    // E10 — rounding attack: numeric parity marks are erased (the
-    // documented limit), mixing in the text/order families preserves
-    // detection. Both facts are pinned.
-    for (label, numeric_only) in [("numeric_only", true), ("all_families", false)] {
-        let dataset = publications::generate(&PublicationsConfig {
-            records: p.records,
-            editors: p.editors,
-            seed: p.seed + 100,
-            gamma: 1,
-        });
-        let mut markable = vec![MarkableAttr::integer("book", "year", 1)];
-        if !numeric_only {
-            markable.push(MarkableAttr::text("book", "publisher"));
-        }
-        let mut config = EncoderConfig::new(1, markable);
-        if !numeric_only {
-            config = config.with_structural("book", "author");
-        }
-        let key = SecretKey::from_passphrase("gate-e10");
-        let wm = Watermark::from_message("gate-e10", 16);
-        let mut marked = dataset.doc.clone();
-        let report = embed(
-            &mut marked,
-            &dataset.binding,
-            &dataset.fds,
-            &config,
-            &key,
-            &wm,
-        )
-        .expect("e10 embed");
-        let mut attacked = marked.clone();
-        RoundingAttack::new(2, vec!["//book/year".into()]).apply(&mut attacked);
-        let d = detect(
-            &attacked,
-            &DetectionInput {
-                queries: &report.queries,
-                key,
-                watermark: wm,
-                threshold: THRESHOLD,
-                mapping: None,
-            },
-        );
-        grid.push(RobustnessStat::from_detection(
-            &format!("e10_rounding/{label}"),
-            "e10",
-            &d,
-        ));
-    }
-
-    grid
-}
-
-fn tobj(members: Vec<(&str, TJson)>) -> TJson {
-    TJson::Object(
+fn tobj(members: Vec<(&str, Json)>) -> Json {
+    Json::Object(
         members
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
@@ -592,15 +443,15 @@ fn tobj(members: Vec<(&str, TJson)>) -> TJson {
     )
 }
 
-/// The deterministic forensic-scenario grid (see [`forensic_points`]):
+/// The deterministic forensic-scenario grid (see [`FORENSIC_POINTS`]):
 /// flattened gate metrics plus the record-level artifact written to
 /// `FORENSICS_<workload>.json`.
 fn forensics_grid(
     p: &SuiteParams,
-    w: &crate::MarkedWorkload,
+    w: &MarkedWorkload,
     sw: &crate::StreamingWorkload,
     marked_stream: &str,
-) -> (Vec<ForensicsStat>, TJson) {
+) -> (Vec<ScenarioStat>, Json) {
     let mut stats = Vec::new();
     let mut scenarios = Vec::new();
 
@@ -663,16 +514,13 @@ fn forensics_grid(
             hits / suspects.len() as f64
         };
         let recall = hits / damaged.len() as f64;
-        stats.push(ForensicsStat::new(
-            "localize@0.05",
-            vec![("precision", precision), ("recall", recall)],
-        ));
+        stats.push(LOCALIZE.stat(&[precision, recall]));
         scenarios.push(tobj(vec![
-            ("name", TJson::String("localize@0.05".into())),
-            ("damaged_records", TJson::Number(damaged.len() as f64)),
-            ("suspect_records", TJson::Number(suspects.len() as f64)),
-            ("precision", TJson::Number(precision)),
-            ("recall", TJson::Number(recall)),
+            ("name", Json::String(LOCALIZE.name.into())),
+            ("damaged_records", Json::Number(damaged.len() as f64)),
+            ("suspect_records", Json::Number(suspects.len() as f64)),
+            ("precision", Json::Number(precision)),
+            ("recall", Json::Number(recall)),
             ("forensics", f.to_json()),
         ]));
     }
@@ -733,20 +581,17 @@ fn forensics_grid(
             f.recovered_units as f64 / flagged as f64
         };
         let detected = if d.detected { 1.0 } else { 0.0 };
-        stats.push(ForensicsStat::new(
-            "recover@r3",
-            vec![("rate", rate), ("detected", detected)],
-        ));
+        stats.push(RECOVER.stat(&[rate, detected]));
         scenarios.push(tobj(vec![
-            ("name", TJson::String("recover@r3".into())),
-            ("recovered_units", TJson::Number(f.recovered_units as f64)),
-            ("suspect_units", TJson::Number(f.suspect_units as f64)),
+            ("name", Json::String(RECOVER.name.into())),
+            ("recovered_units", Json::Number(f.recovered_units as f64)),
+            ("suspect_units", Json::Number(f.suspect_units as f64)),
             (
                 "unrecoverable_units",
-                TJson::Number(f.unrecoverable_units as f64),
+                Json::Number(f.unrecoverable_units as f64),
             ),
-            ("rate", TJson::Number(rate)),
-            ("detected", TJson::Bool(d.detected)),
+            ("rate", Json::Number(rate)),
+            ("detected", Json::Bool(d.detected)),
         ]));
     }
 
@@ -774,20 +619,17 @@ fn forensics_grid(
             }
             _ => 0.0,
         };
-        stats.push(ForensicsStat::new(
-            "fault_truncate@0.60",
-            vec![("partial", partial)],
-        ));
+        stats.push(FAULT_TRUNCATE.stat(&[partial]));
         scenarios.push(tobj(vec![
-            ("name", TJson::String("fault_truncate@0.60".into())),
-            ("records_processed", TJson::Number(r.records as f64)),
-            ("records_total", TJson::Number(p.records as f64)),
+            ("name", Json::String(FAULT_TRUNCATE.name.into())),
+            ("records_processed", Json::Number(r.records as f64)),
+            ("records_total", Json::Number(p.records as f64)),
             (
                 "truncated",
-                TJson::Bool(r.fault.as_ref().is_some_and(|f| f.truncated)),
+                Json::Bool(r.fault.as_ref().is_some_and(|f| f.truncated)),
             ),
-            ("detected", TJson::Bool(r.report.detected)),
-            ("partial", TJson::Number(partial)),
+            ("detected", Json::Bool(r.report.detected)),
+            ("partial", Json::Number(partial)),
         ]));
     }
 
@@ -817,24 +659,21 @@ fn forensics_grid(
         } else {
             0.0
         };
-        stats.push(ForensicsStat::new(
-            "fault_garble",
-            vec![("isolated", isolated)],
-        ));
+        stats.push(FAULT_GARBLE.stat(&[isolated]));
         scenarios.push(tobj(vec![
-            ("name", TJson::String("fault_garble".into())),
-            ("suspect_records", TJson::Number(f.suspect_records as f64)),
-            ("records_total", TJson::Number(f.records.len() as f64)),
-            ("tampered", TJson::Bool(f.tampered)),
-            ("detected", TJson::Bool(r.report.detected)),
-            ("isolated", TJson::Number(isolated)),
+            ("name", Json::String(FAULT_GARBLE.name.into())),
+            ("suspect_records", Json::Number(f.suspect_records as f64)),
+            ("records_total", Json::Number(f.records.len() as f64)),
+            ("tampered", Json::Bool(f.tampered)),
+            ("detected", Json::Bool(r.report.detected)),
+            ("isolated", Json::Number(isolated)),
         ]));
     }
 
     let artifact = tobj(vec![
-        ("schema_version", TJson::Number(SCHEMA_VERSION as f64)),
-        ("workload", TJson::String(p.workload.clone())),
-        ("scenarios", TJson::Array(scenarios)),
+        ("schema_version", Json::Number(SCHEMA_VERSION as f64)),
+        ("workload", Json::String(p.workload.clone())),
+        ("scenarios", Json::Array(scenarios)),
     ]);
     (stats, artifact)
 }

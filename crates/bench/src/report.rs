@@ -17,15 +17,19 @@
 //!   scenarios (localization precision/recall, redundant-group recovery
 //!   rate, fault-injection partial verdicts), flattened as
 //!   `forensics/<scenario>/<metric>` and pinned with zero tolerance.
+//! * **Claims**: the demonstration's remaining claims (capacity, the
+//!   re-organization attack, key security, structure units; see
+//!   [`crate::experiments`]), flattened as `claims/<point>/<metric>` and
+//!   pinned with zero tolerance.
 //!
 //! The flattened metric view ([`BenchReport::metrics`]) is what the
 //! baseline comparator gates on; every metric is oriented so that
 //! *higher is better*.
 
-use crate::json::{obj, Json};
 use crate::measure::Measurement;
 use std::path::{Path, PathBuf};
 use wmx_core::DetectionReport;
+use wmx_telemetry::json::{obj, Json};
 
 /// Version of the BENCH JSON schema this crate writes and reads.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -47,7 +51,10 @@ pub struct BenchReport {
     /// Deterministic forensic-scenario metrics (localization, recovery,
     /// fault injection). Absent from pre-forensics reports, which read
     /// back as an empty list.
-    pub forensics: Vec<ForensicsStat>,
+    pub forensics: Vec<ScenarioStat>,
+    /// Deterministic demonstration-claim metrics (E1/E4/E6/E8). Absent
+    /// from older reports, which read back as an empty list.
+    pub claims: Vec<ScenarioStat>,
 }
 
 /// Deterministic parameters of a report run.
@@ -165,28 +172,53 @@ impl RobustnessStat {
     }
 }
 
-/// Metrics of one deterministic forensic scenario.
+/// Metrics of one deterministic scenario (a forensic scenario or a
+/// demonstration claim).
 ///
 /// Unlike [`ThroughputStat`], every value here is a pure function of
 /// the suite seeds (selection is keyed-PRF-driven and the attacks are
 /// explicitly seeded), so the baseline pins them with tolerance `0.0`
 /// exactly like the robustness grid.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ForensicsStat {
-    /// Scenario name, e.g. `localize@0.05` or `fault_truncate@0.60`.
+pub struct ScenarioStat {
+    /// Scenario name, e.g. `localize@0.05` or `e6_key_security/wrong_keys`.
     pub name: String,
-    /// Named metric values, flattened as `forensics/<name>/<metric>`.
+    /// Named metric values, flattened as `<section>/<name>/<metric>`.
     pub values: Vec<(String, f64)>,
 }
 
-impl ForensicsStat {
-    /// Creates the stat from `(metric, value)` pairs.
-    pub fn new(name: &str, values: Vec<(&str, f64)>) -> ForensicsStat {
-        ForensicsStat {
-            name: name.to_string(),
-            values: values
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
+/// A pinned scenario row: its name and the metric keys it reports, in
+/// order. The suite builds its rows from these and the gate derives the
+/// expected metric names from the same constants.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Point {
+    /// Scenario name.
+    pub name: &'static str,
+    /// Metric keys, in emission order.
+    pub metrics: &'static [&'static str],
+}
+
+impl Point {
+    /// A point named `name` reporting `metrics`.
+    pub const fn new(name: &'static str, metrics: &'static [&'static str]) -> Point {
+        Point { name, metrics }
+    }
+
+    /// The row holding `values`, one per metric key in order.
+    pub fn stat(&self, values: &[f64]) -> ScenarioStat {
+        assert_eq!(
+            values.len(),
+            self.metrics.len(),
+            "{}: one value per metric",
+            self.name
+        );
+        ScenarioStat {
+            name: self.name.to_string(),
+            values: self
+                .metrics
+                .iter()
+                .zip(values)
+                .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
         }
     }
@@ -284,33 +316,8 @@ impl BenchReport {
                         .collect(),
                 ),
             ),
-            (
-                "forensics",
-                Json::Array(
-                    self.forensics
-                        .iter()
-                        .map(|f| {
-                            obj(vec![
-                                ("name", Json::String(f.name.clone())),
-                                (
-                                    "values",
-                                    Json::Array(
-                                        f.values
-                                            .iter()
-                                            .map(|(k, v)| {
-                                                obj(vec![
-                                                    ("name", Json::String(k.clone())),
-                                                    ("value", Json::Number(*v)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("forensics", scenarios_to_json(&self.forensics)),
+            ("claims", scenarios_to_json(&self.claims)),
         ])
     }
 
@@ -388,23 +395,10 @@ impl BenchReport {
                 votes_zeros: field_usize(r, "votes_zeros")?,
             });
         }
-        // Tolerant of the section's absence: reports written before the
-        // forensic suite existed stay readable.
-        let mut forensics = Vec::new();
-        for f in json
-            .get("forensics")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-        {
-            let mut values = Vec::new();
-            for v in f.get("values").and_then(Json::as_array).unwrap_or(&[]) {
-                values.push((field_str(v, "name")?, field_f64(v, "value")?));
-            }
-            forensics.push(ForensicsStat {
-                name: field_str(f, "name")?,
-                values,
-            });
-        }
+        // Tolerant of the sections' absence: reports written before the
+        // forensic or claim suites existed stay readable.
+        let forensics = scenarios_from_json(&json, "forensics")?;
+        let claims = scenarios_from_json(&json, "claims")?;
         Ok(BenchReport {
             schema_version: version,
             workload,
@@ -412,6 +406,7 @@ impl BenchReport {
             throughput,
             robustness,
             forensics,
+            claims,
         })
     }
 
@@ -429,6 +424,7 @@ impl BenchReport {
     /// * `robustness/<name>/detected` (1.0 or 0.0)
     /// * `robustness/<name>/match_fraction`
     /// * `forensics/<name>/<metric>` (deterministic, pinned exactly)
+    /// * `claims/<name>/<metric>` (deterministic, pinned exactly)
     pub fn metrics(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for t in &self.throughput {
@@ -448,13 +444,57 @@ impl BenchReport {
                 r.match_fraction,
             ));
         }
-        for f in &self.forensics {
-            for (metric, value) in &f.values {
-                out.push((format!("forensics/{}/{metric}", f.name), *value));
+        for (section, stats) in [("forensics", &self.forensics), ("claims", &self.claims)] {
+            for f in stats {
+                for (metric, value) in &f.values {
+                    out.push((format!("{section}/{}/{metric}", f.name), *value));
+                }
             }
         }
         out
     }
+}
+
+fn scenarios_to_json(stats: &[ScenarioStat]) -> Json {
+    Json::Array(
+        stats
+            .iter()
+            .map(|f| {
+                obj(vec![
+                    ("name", Json::String(f.name.clone())),
+                    (
+                        "values",
+                        Json::Array(
+                            f.values
+                                .iter()
+                                .map(|(k, v)| {
+                                    obj(vec![
+                                        ("name", Json::String(k.clone())),
+                                        ("value", Json::Number(*v)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ])
+            })
+            .collect(),
+    )
+}
+
+fn scenarios_from_json(json: &Json, section: &str) -> Result<Vec<ScenarioStat>, String> {
+    let mut stats = Vec::new();
+    for f in json.get(section).and_then(Json::as_array).unwrap_or(&[]) {
+        let mut values = Vec::new();
+        for v in f.get("values").and_then(Json::as_array).unwrap_or(&[]) {
+            values.push((field_str(v, "name")?, field_f64(v, "value")?));
+        }
+        stats.push(ScenarioStat {
+            name: field_str(f, "name")?,
+            values,
+        });
+    }
+    Ok(stats)
 }
 
 fn field_f64(json: &Json, key: &str) -> Result<f64, String> {
@@ -529,10 +569,10 @@ mod tests {
                 votes_ones: 321,
                 votes_zeros: 123,
             }],
-            forensics: vec![ForensicsStat::new(
-                "localize@0.05",
-                vec![("precision", 1.0), ("recall", 1.0)],
-            )],
+            forensics: vec![Point::new("localize@0.05", &["precision", "recall"]).stat(&[1.0, 1.0])],
+            claims: vec![
+                Point::new("e6_key_security/wrong_keys", &["rejected_frac"]).stat(&[0.995])
+            ],
         }
     }
 
@@ -590,20 +630,28 @@ mod tests {
         assert_eq!(find("robustness/e2_alteration@0.30/match_fraction"), 1.0);
         assert_eq!(find("forensics/localize@0.05/precision"), 1.0);
         assert_eq!(find("forensics/localize@0.05/recall"), 1.0);
-        assert_eq!(metrics.len(), 8);
+        assert_eq!(
+            find("claims/e6_key_security/wrong_keys/rejected_frac"),
+            0.995
+        );
+        assert_eq!(metrics.len(), 9);
     }
 
     #[test]
     fn reports_without_a_forensics_section_still_parse() {
         let mut report = sample_report();
         report.forensics.clear();
+        report.claims.clear();
         let text = report.to_json_string();
-        // Simulate a pre-forensics report by dropping the section
-        // (it is the last member, so the preceding comma goes too).
-        let stripped = text.replace(",\n  \"forensics\": []", "");
-        assert_ne!(stripped, text, "section must have been present");
+        // Simulate a pre-forensics report by dropping both scenario
+        // sections (the preceding commas go too).
+        let stripped = text
+            .replace(",\n  \"forensics\": []", "")
+            .replace(",\n  \"claims\": []", "");
+        assert!(!stripped.contains("forensics") && !stripped.contains("claims"));
         let parsed = BenchReport::from_json_str(&stripped).expect("old schema parses");
         assert!(parsed.forensics.is_empty());
+        assert!(parsed.claims.is_empty());
         assert_eq!(parsed.robustness, report.robustness);
     }
 

@@ -59,7 +59,7 @@ pub fn marked_publications(
 }
 
 /// A serialized publications document plus everything the streaming
-/// engine needs — shared by the gate and experiment E11.
+/// engine needs — the gate's streaming workload.
 pub struct StreamingWorkload {
     /// The dataset (semantics: binding, FDs, config).
     pub dataset: Dataset,

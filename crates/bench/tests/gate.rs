@@ -39,8 +39,13 @@ fn suite_robustness_is_deterministic_and_roundtrips() {
     assert_eq!(r1.forensics, r2.forensics);
     assert_eq!(r1.forensics.len(), 4);
 
+    // And the demonstration-claim rows, one per pinned claim point.
+    assert_eq!(r1.claims, r2.claims);
+    assert_eq!(r1.claims.len(), wmx_bench::experiments::CLAIM_POINTS.len());
+
     let parsed = BenchReport::from_json_str(&r1.to_json_string()).expect("roundtrip");
     assert_eq!(parsed.robustness, r1.robustness);
+    assert_eq!(parsed.claims, r1.claims);
     assert_eq!(parsed.context, r1.context);
 
     // The streaming stats carry the wmx-stream telemetry: resident-node
@@ -156,31 +161,63 @@ fn checked_in_smoke_baseline_parses_and_matches_the_schema() {
     let baseline = Baseline::load(&path).expect("checked-in baseline parses");
     assert_eq!(baseline.workload, "smoke");
     assert_eq!(baseline.schema_version, wmx_bench::SCHEMA_VERSION);
-    // Robustness and forensic metrics are deterministic and pinned
-    // exactly; throughput has slack.
+    // Robustness, forensic and claim metrics are deterministic and
+    // pinned exactly; throughput has slack.
     for m in &baseline.metrics {
-        if m.name.starts_with("robustness/") || m.name.starts_with("forensics/") {
+        if m.name.starts_with("robustness/")
+            || m.name.starts_with("forensics/")
+            || m.name.starts_with("claims/")
+        {
             assert_eq!(m.tolerance, 0.0, "{}", m.name);
         } else {
             assert!(m.tolerance > 0.0, "{}", m.name);
         }
     }
     // The forensic scenarios hold localization and recovery to
-    // perfection under the smoke seeds: any drop fails the gate.
-    for name in [
+    // perfection under the smoke seeds, and every demonstration claim
+    // holds: any drop fails the gate. Claim metrics read higher-is-better
+    // (a negative claim is pinned as `rejected`), so a false positive
+    // lowers them.
+    let perfect = [
         "forensics/localize@0.05/precision",
         "forensics/localize@0.05/recall",
         "forensics/recover@r3/rate",
         "forensics/recover@r3/detected",
         "forensics/fault_truncate@0.60/partial",
         "forensics/fault_garble/isolated",
-    ] {
+        "claims/e1_capacity/publications/utilization",
+        "claims/e1_capacity/publications/usability",
+        "claims/e1_capacity/jobs/utilization",
+        "claims/e1_capacity/jobs/usability",
+        "claims/e1_capacity/library/utilization",
+        "claims/e1_capacity/library/usability",
+        "claims/e4_reorganization/rewriting/detected",
+        "claims/e4_reorganization/rewriting/match_fraction",
+        "claims/e4_reorganization/no_rewriting/rejected",
+        "claims/e4_reorganization/value_baseline/rejected",
+        "claims/e6_key_security/correct_key/detected",
+        "claims/e6_key_security/wrong_mark/rejected",
+        "claims/e6_key_security/unmarked_original/rejected",
+        "claims/e6_key_security/wrong_keys/rejected_frac",
+        "claims/e8_shuffle/value_only/detected",
+        "claims/e8_shuffle/order_only/rejected",
+    ];
+    for name in perfect {
         let m = baseline
             .metrics
             .iter()
             .find(|m| m.name == name)
-            .unwrap_or_else(|| panic!("missing pinned forensic metric {name}"));
+            .unwrap_or_else(|| panic!("missing pinned metric {name}"));
         assert_eq!(m.value, 1.0, "{name}");
+    }
+    for m in &baseline.metrics {
+        if m.name.starts_with("claims/") {
+            assert!(
+                perfect.contains(&m.name.as_str()),
+                "unlisted claim {}",
+                m.name
+            );
+        }
     }
     // The smoke suite's metric names line up with what is pinned, so
     // the gate can never silently skip a metric.

@@ -30,7 +30,6 @@ pub fn run(args: &Args) -> Result<i32, String> {
         "validate" => cmd_validate(args),
         "validate-telemetry" => cmd_validate_telemetry(args),
         "inspect" => cmd_inspect(args),
-        "bench" => cmd_bench(args),
         "help" | "--help" => {
             println!("{}", usage());
             Ok(0)
@@ -90,13 +89,6 @@ COMMANDS
             (exit 0 = valid, 2 = invalid)
   inspect   --in FILE
             print document statistics
-  bench     [--suite smoke|full] [--out DIR] [--baseline FILE]
-            [--write-baseline] [--no-compare]
-            run the telemetry suite, write BENCH_<workload>.json,
-            TELEMETRY_<workload>.json, and FORENSICS_<workload>.json,
-            and gate against the checked-in baseline (exit 0 = pass,
-            2 = throughput regression, detection-rate drop, or
-            localization/recovery drop)
 
 OBSERVABILITY (embed, detect, stream-embed, stream-detect)
   --telemetry-json FILE   write a schema-versioned metrics snapshot
@@ -747,31 +739,6 @@ fn cmd_validate_telemetry(args: &Args) -> Result<i32, String> {
         }
     }
     Ok(if problems == 0 { 0 } else { 2 })
-}
-
-fn cmd_bench(args: &Args) -> Result<i32, String> {
-    let params = match args.optional("suite").unwrap_or("smoke") {
-        "smoke" => wmx_bench::SuiteParams::smoke(),
-        "full" => wmx_bench::SuiteParams::full(),
-        other => return Err(format!("unknown suite {other:?}; use smoke|full")),
-    };
-    let opts = wmx_bench::GateOptions {
-        params,
-        out_dir: args.optional("out").unwrap_or(".").into(),
-        baseline_path: args.optional("baseline").map(Into::into),
-        write_baseline: args.optional("write-baseline").is_some(),
-        skip_compare: args.optional("no-compare").is_some(),
-    };
-    println!(
-        "running the {:?} suite ({} records, {} iters, {} workers)",
-        opts.params.workload, opts.params.records, opts.params.iters, opts.params.workers
-    );
-    let outcome = wmx_bench::run_gate(&opts)?;
-    println!("report: {}", outcome.report_path.display());
-    println!("telemetry: {}", outcome.telemetry_path.display());
-    println!("forensics: {}", outcome.forensics_path.display());
-    println!("{}", outcome.summary);
-    Ok(outcome.exit_code)
 }
 
 fn cmd_inspect(args: &Args) -> Result<i32, String> {
@@ -1604,12 +1571,6 @@ mod tests {
             &queries,
         ]))
         .is_err());
-    }
-
-    #[test]
-    fn bench_rejects_unknown_suite() {
-        let err = run(&args(&["bench", "--suite", "nope"])).unwrap_err();
-        assert!(err.contains("unknown suite"), "{err}");
     }
 
     #[test]

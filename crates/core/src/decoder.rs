@@ -238,11 +238,26 @@ pub fn report_from_votes(
     threshold: f64,
     counters: VoteCounters,
 ) -> DetectionReport {
-    let recovered: Vec<Option<bool>> = bit_votes.iter().map(BitVotes::majority).collect();
+    let recovered = bit_votes.iter().map(BitVotes::majority).collect();
+    report_from_decode(bit_votes, recovered, watermark, threshold, counters)
+}
+
+/// The verdict every detection path ends in: given each bit's votes
+/// and its decoded value, counts the voted bits and the decoded bits
+/// that match the watermark, runs the sign test, and applies τ. The
+/// plain decode passes each bit's vote majority; the redundant decode
+/// passes its group-majority bits with the pooled votes.
+pub(crate) fn report_from_decode(
+    bit_votes: Vec<BitVotes>,
+    recovered: Vec<Option<bool>>,
+    watermark: &Watermark,
+    threshold: f64,
+    counters: VoteCounters,
+) -> DetectionReport {
     let mut voted_bits = 0usize;
     let mut matched_bits = 0usize;
-    for (i, r) in recovered.iter().enumerate() {
-        if bit_votes[i].ones + bit_votes[i].zeros > 0 {
+    for (i, (votes, r)) in bit_votes.iter().zip(&recovered).enumerate() {
+        if votes.ones + votes.zeros > 0 {
             voted_bits += 1;
             if *r == Some(watermark.bit(i)) {
                 matched_bits += 1;
@@ -292,7 +307,7 @@ fn resolve_query(stored: &StoredQuery, mapping: Option<&SchemaMapping>) -> Resul
 }
 
 /// P[X ≥ matched] for X ~ Binomial(voted, 1/2), computed in log space.
-pub(crate) fn sign_test_p(voted: usize, matched: usize) -> f64 {
+fn sign_test_p(voted: usize, matched: usize) -> f64 {
     if voted == 0 {
         return 1.0;
     }

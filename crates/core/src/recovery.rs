@@ -12,7 +12,7 @@
 //!
 //! [`EncoderConfig::redundancy`]: crate::config::EncoderConfig::redundancy
 
-use crate::decoder::{sign_test_p, BitVotes, DetectionReport, VoteCounters};
+use crate::decoder::{report_from_decode, BitVotes, DetectionReport, VoteCounters};
 use crate::forensics::ForensicContext;
 use crate::nodectx::{DomNodes, DomNodesMut, UnitMarker};
 use crate::plan::global_plan_cache;
@@ -91,36 +91,13 @@ pub fn report_from_redundant_votes(
     threshold: f64,
     counters: VoteCounters,
 ) -> DetectionReport {
-    let mut voted_bits = 0usize;
-    let mut matched_bits = 0usize;
-    for (j, slot) in decode.pooled.iter().enumerate() {
-        if slot.ones + slot.zeros > 0 {
-            voted_bits += 1;
-            if decode.decoded[j] == Some(watermark.bit(j)) {
-                matched_bits += 1;
-            }
-        }
-    }
-    let p_value = sign_test_p(voted_bits, matched_bits);
-    let match_fraction = if voted_bits == 0 {
-        0.0
-    } else {
-        matched_bits as f64 / voted_bits as f64
-    };
-    let detected = voted_bits > 0 && match_fraction >= threshold;
-    DetectionReport {
-        total_queries: counters.total_queries,
-        located_queries: counters.located_queries,
-        unrewritable_queries: counters.unrewritable_queries,
-        votes_cast: counters.votes_cast,
-        bit_votes: decode.pooled.clone(),
-        recovered: decode.decoded.clone(),
-        voted_bits,
-        matched_bits,
-        detected,
-        p_value,
-        forensics: None,
-    }
+    report_from_decode(
+        decode.pooled.clone(),
+        decode.decoded.clone(),
+        watermark,
+        threshold,
+        counters,
+    )
 }
 
 /// Outcome of [`repair_document`].

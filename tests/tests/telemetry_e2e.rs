@@ -1,6 +1,6 @@
 //! Telemetry end-to-end: drive both engines through a real workload,
 //! then prove the observability layer reports it faithfully —
-//! snapshot → JSON text → `wmx-bench`'s reader → schema validation,
+//! snapshot → JSON text → the in-tree JSON reader → schema validation,
 //! registry counters consistent with engine reports, and audit events
 //! round-tripping through a sink for both verdict outcomes.
 
@@ -10,6 +10,7 @@ use wmx_core::{detect, embed, global_plan_cache, DetectionInput, Watermark};
 use wmx_crypto::SecretKey;
 use wmx_data::{publications, Dataset};
 use wmx_stream::{par_detect, stream_embed, StreamContext};
+use wmx_telemetry::Json;
 
 fn dataset() -> Dataset {
     publications::generate(&publications::PublicationsConfig {
@@ -75,16 +76,14 @@ fn snapshot_roundtrips_through_the_bench_reader_and_reflects_the_run() {
 
     let (_, detection, stream_detection) = exercise();
 
-    // Serialize the global registry and read it back with wmx-bench's
-    // JSON reader (the re-exported module downstream code uses).
+    // Serialize the global registry and read it back with the JSON
+    // reader the bench reports use.
     let snapshot = wmx_telemetry::global_snapshot();
     let text = snapshot.to_pretty_string();
-    let parsed = wmx_bench::Json::parse(&text).expect("bench reader parses the snapshot");
+    let parsed = Json::parse(&text).expect("bench reader parses the snapshot");
     wmx_telemetry::validate_snapshot(&parsed).expect("snapshot schema holds");
     assert_eq!(
-        parsed
-            .get("schema_version")
-            .and_then(wmx_bench::Json::as_usize),
+        parsed.get("schema_version").and_then(Json::as_usize),
         Some(wmx_telemetry::SNAPSHOT_SCHEMA_VERSION as usize)
     );
 
@@ -92,7 +91,7 @@ fn snapshot_roundtrips_through_the_bench_reader_and_reflects_the_run() {
         parsed
             .get("counters")
             .and_then(|c| c.get(name))
-            .and_then(wmx_bench::Json::as_f64)
+            .and_then(Json::as_f64)
             .unwrap_or_else(|| panic!("counter {name} missing from snapshot")) as u64
     };
 
@@ -130,7 +129,7 @@ fn snapshot_roundtrips_through_the_bench_reader_and_reflects_the_run() {
             .get("histograms")
             .and_then(|h| h.get(phase))
             .and_then(|h| h.get("count"))
-            .and_then(wmx_bench::Json::as_usize)
+            .and_then(Json::as_usize)
             .unwrap_or_else(|| panic!("histogram {phase} missing from snapshot"));
         assert!(count > 0, "{phase} recorded nothing");
     }
@@ -202,21 +201,21 @@ fn audit_events_for_both_verdicts_roundtrip_through_a_sink() {
         wmx_telemetry::validate_audit_line(line).expect("audit schema holds");
     }
     let verdict = |line: &str| {
-        wmx_telemetry::Json::parse(line)
+        Json::parse(line)
             .unwrap()
             .get("detected")
-            .and_then(wmx_telemetry::Json::as_bool)
+            .and_then(Json::as_bool)
     };
     assert_eq!(verdict(lines[0]), Some(true));
     assert_eq!(verdict(lines[1]), Some(false));
     // The detected line's vote totals dominate the undetected line's
     // correct-bit votes (wrong key ⇒ votes scatter).
     let ones_of = |line: &str| {
-        wmx_telemetry::Json::parse(line)
+        Json::parse(line)
             .unwrap()
             .get("counts")
             .and_then(|c| c.get("votes_ones"))
-            .and_then(wmx_telemetry::Json::as_usize)
+            .and_then(Json::as_usize)
             .unwrap()
     };
     assert!(ones_of(lines[0]) + ones_of(lines[1]) > 0);
