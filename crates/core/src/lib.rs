@@ -53,7 +53,7 @@ pub use forensics::{
     RecordForensics, UnitForensics, UnitStatus,
 };
 pub use identifier::{MarkKind, MarkUnit, SelectionTable, UnitKey, UnitTag};
-pub use nodectx::{DomNodes, DomNodesMut, NodeCtx, NodeCtxMut, UnitMarker, UnitVotes};
+pub use nodectx::{DomNodes, DomNodesMut, NodeCtx, NodeCtxMut, UnitKeying, UnitMarker, UnitVotes};
 pub use plan::{global_plan_cache, PlanCache, SelectionPlan};
 pub use recovery::{
     decode_redundant, repair_document, report_from_redundant_votes, RedundantDecode, RepairReport,

@@ -168,15 +168,16 @@ impl UnitMarker {
         self.prf.is_selected(unit_id, gamma)
     }
 
-    /// The physically stored (whitened) bit for the unit.
-    pub fn stored_bit<I: PrfInput + ?Sized>(&self, unit_id: &I, watermark: &Watermark) -> bool {
-        let index = self.prf.bit_index(unit_id, watermark.len());
-        watermark.bit(index) ^ self.prf.whiten_bit(unit_id)
+    /// The unit's keyed values for a watermark of `wm_len` bits.
+    pub fn keying<I: PrfInput + ?Sized>(&self, unit_id: &I, wm_len: usize) -> UnitKeying {
+        UnitKeying {
+            bit_index: self.prf.bit_index(unit_id, wm_len),
+            whiten: self.prf.whiten_bit(unit_id),
+            nonce: self.prf.value_nonce(unit_id),
+        }
     }
 
-    /// Writes the unit's assigned bit into `ctx`. Returns the number of
-    /// nodes rewritten/reordered (0 when the unit cannot carry the bit:
-    /// unmarkable values, equal order values, non-reorderable nodes).
+    /// [`UnitKeying::mark`] under the unit's keying.
     pub fn mark_unit<I: PrfInput + ?Sized>(
         &self,
         ctx: &mut dyn NodeCtxMut,
@@ -184,15 +185,57 @@ impl UnitMarker {
         mark: MarkKind,
         watermark: &Watermark,
     ) -> Result<usize, WmError> {
-        let bit = self.stored_bit(unit_id, watermark);
-        let nonce = self.prf.value_nonce(unit_id);
+        self.keying(unit_id, watermark.len())
+            .mark(ctx, mark, watermark)
+    }
+
+    /// [`UnitKeying::extract`] under the unit's keying for a watermark of
+    /// `wm_len` bits.
+    pub fn extract_unit<I: PrfInput + ?Sized>(
+        &self,
+        ctx: &dyn NodeCtx,
+        unit_id: &I,
+        mark: MarkKind,
+        wm_len: usize,
+    ) -> UnitVotes {
+        self.keying(unit_id, wm_len).extract(ctx, mark)
+    }
+}
+
+/// A unit's keyed values: everything marking and extraction take from
+/// the PRF once the unit is selected. They depend only on the key, the
+/// unit id and the watermark width, so a caller that meets one unit id
+/// many times (an FD group recurring across streamed records) can
+/// compute them once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnitKeying {
+    /// The watermark bit index the unit carries.
+    pub bit_index: usize,
+    /// The whitening bit XORed onto the carried bit.
+    pub whiten: bool,
+    /// The nonce the value plug-ins mark with.
+    pub nonce: u64,
+}
+
+impl UnitKeying {
+    /// Writes the unit's assigned bit of `watermark` into `ctx`. Returns
+    /// the number of nodes rewritten/reordered (0 when the unit cannot
+    /// carry the bit: unmarkable values, equal order values,
+    /// non-reorderable nodes).
+    pub fn mark(
+        &self,
+        ctx: &mut dyn NodeCtxMut,
+        mark: MarkKind,
+        watermark: &Watermark,
+    ) -> Result<usize, WmError> {
+        let bit = watermark.bit(self.bit_index) ^ self.whiten;
         match mark {
             MarkKind::Value(data_type) => {
                 let plugin = plugin_for(data_type);
                 let mut marked = 0usize;
                 for i in 0..ctx.node_count() {
                     let value = ctx.node_value(i).expect("index within node_count");
-                    if let Some(new_value) = plugin.embed(&value, bit, nonce) {
+                    if let Some(new_value) = plugin.embed(&value, bit, self.nonce) {
                         if new_value != value {
                             ctx.write_node_value(i, &new_value)?;
                         }
@@ -220,38 +263,31 @@ impl UnitMarker {
     }
 
     /// Extracts the unit's votes from `ctx` (detection side): one
-    /// whitened bit per readable node, under the unit's assigned bit
-    /// index for a watermark of `wm_len` bits.
-    pub fn extract_unit<I: PrfInput + ?Sized>(
-        &self,
-        ctx: &dyn NodeCtx,
-        unit_id: &I,
-        mark: MarkKind,
-        wm_len: usize,
-    ) -> UnitVotes {
-        let bit_index = self.prf.bit_index(unit_id, wm_len);
-        let whiten = self.prf.whiten_bit(unit_id);
-        let nonce = self.prf.value_nonce(unit_id);
+    /// whitened bit per readable node, under the unit's bit index.
+    pub fn extract(&self, ctx: &dyn NodeCtx, mark: MarkKind) -> UnitVotes {
         let mut bits = Vec::new();
         match mark {
             MarkKind::Value(data_type) => {
                 let plugin = plugin_for(data_type);
                 for i in 0..ctx.node_count() {
                     let value = ctx.node_value(i).expect("index within node_count");
-                    if let Some(raw) = plugin.extract(&value, nonce) {
-                        bits.push(raw ^ whiten);
+                    if let Some(raw) = plugin.extract(&value, self.nonce) {
+                        bits.push(raw ^ self.whiten);
                     }
                 }
             }
             MarkKind::SiblingOrder => {
                 if let (Some(a), Some(b)) = (ctx.node_value(0), ctx.node_value(1)) {
                     if a != b {
-                        bits.push((a > b) ^ whiten);
+                        bits.push((a > b) ^ self.whiten);
                     }
                 }
             }
         }
-        UnitVotes { bit_index, bits }
+        UnitVotes {
+            bit_index: self.bit_index,
+            bits,
+        }
     }
 }
 

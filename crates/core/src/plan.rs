@@ -115,8 +115,9 @@ pub struct SelectionPlan {
     /// so discovering groups over this filtered list alone yields the
     /// same units as discovering over all FDs.
     fds: Vec<Fd>,
-    /// FD name → (interned name, data type of the backing markable).
-    fd_info: HashMap<String, (Sym, DataType)>,
+    /// Per entry of `fds`: its interned name and the data type of its
+    /// backing markable.
+    fd_info: Vec<(Sym, DataType)>,
     structural: Vec<PlanAccess>,
     markable: Vec<(PlanAccess, DataType)>,
 }
@@ -137,14 +138,11 @@ impl SelectionPlan {
         let schema_hash = fnv1a(canon.as_bytes());
 
         let mut plan_fds = Vec::new();
-        let mut fd_info = HashMap::new();
+        let mut fd_info = Vec::new();
         if config.use_fd_groups {
             for fd in fds {
                 if let Some(markable) = markable_for_fd(binding, fds, &fd.name, config) {
-                    fd_info.insert(
-                        fd.name.clone(),
-                        (table.lookup(&fd.name), markable.data_type),
-                    );
+                    fd_info.push((table.lookup(&fd.name), markable.data_type));
                     plan_fds.push(fd.clone());
                 }
             }
@@ -220,11 +218,10 @@ impl SelectionPlan {
 
         if !self.fds.is_empty() {
             for group in discover_groups_with(evaluator, &self.fds) {
-                // Every plan FD is markable-backed by construction.
-                let (sym, data_type) = self.fd_info[&group.fd_name];
-                if group.members.is_empty() {
-                    continue;
-                }
+                // Every plan FD is markable-backed by construction, and
+                // every group has members (instances without the
+                // dependent are skipped).
+                let (sym, data_type) = self.fd_info[group.fd];
                 for n in &group.members {
                     fd_covered.insert(n.clone());
                 }
@@ -233,7 +230,7 @@ impl SelectionPlan {
                         tag: UnitTag::FdGroup,
                         name: sym,
                         attr: None,
-                        values: group.lhs.into_iter().map(Into::into).collect(),
+                        values: group.lhs,
                     },
                     nodes: group.members,
                     mark: MarkKind::Value(data_type),

@@ -10,33 +10,24 @@
 //! write the *same* mark into every member.
 
 use crate::fd::Fd;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use wmx_xml::Document;
 use wmx_xpath::{Evaluator, NodeRef};
 
 /// One group of FD-duplicated value nodes.
 #[derive(Debug, Clone)]
 pub struct RedundancyGroup {
-    /// Name of the FD that generates the duplication.
-    pub fd_name: String,
+    /// Position of the generating FD in the slice the group was
+    /// discovered over.
+    pub fd: usize,
     /// The shared determinant tuple.
-    pub lhs: Vec<String>,
-    /// The logical dependent tuple (from the first instance).
-    pub rhs_value: Vec<String>,
+    pub lhs: Box<[Box<str>]>,
     /// All value nodes holding copies of the dependent tuple, across all
     /// instances in the group (instance-major order).
     pub members: Vec<NodeRef>,
-    /// Number of entity instances contributing to the group.
-    pub instance_count: usize,
 }
 
 impl RedundancyGroup {
-    /// A stable identity for the group, independent of which or how many
-    /// duplicates survive an attack: the FD name plus determinant tuple.
-    pub fn unit_id(&self) -> String {
-        format!("fd:{}|lhs={}", self.fd_name, self.lhs.join("\u{1f}"))
-    }
-
     /// Whether the group actually contains duplicates (≥ 2 members).
     pub fn is_redundant(&self) -> bool {
         self.members.len() >= 2
@@ -54,32 +45,48 @@ pub fn discover_groups(doc: &Document, fds: &[Fd]) -> Vec<RedundancyGroup> {
 
 /// [`discover_groups`] through a shared [`Evaluator`], so the caller's
 /// memoized symbol resolutions carry across the per-instance
-/// determinant/dependent tuple evaluations.
+/// determinant/dependent evaluations.
 pub fn discover_groups_with(evaluator: &Evaluator<'_>, fds: &[Fd]) -> Vec<RedundancyGroup> {
+    let doc = evaluator.document();
     let mut out = Vec::new();
-    for fd in fds {
-        let mut groups: BTreeMap<Vec<String>, RedundancyGroup> = BTreeMap::new();
-        for instance in fd.entity.select_with(evaluator) {
-            let (Some(lhs), Some(rhs)) = (
-                fd.lhs_of_with(evaluator, &instance),
-                fd.rhs_of_with(evaluator, &instance),
-            ) else {
-                continue;
-            };
-            let members = fd.rhs_nodes_with(evaluator, &instance);
-            let group = groups
-                .entry(lhs.clone())
-                .or_insert_with(|| RedundancyGroup {
-                    fd_name: fd.name.clone(),
-                    lhs,
-                    rhs_value: rhs,
-                    members: Vec::new(),
-                    instance_count: 0,
-                });
-            group.members.extend(members);
-            group.instance_count += 1;
+    for (fd_index, fd) in fds.iter().enumerate() {
+        let mut groups: BTreeMap<Box<[Box<str>]>, Vec<NodeRef>> = BTreeMap::new();
+        'instances: for instance in fd.entity.select_with(evaluator) {
+            // Each determinant part is its first hit's string value.
+            let mut lhs = Vec::with_capacity(fd.lhs.len());
+            for part in &fd.lhs {
+                let hits = part.select_from_with(evaluator, instance.clone());
+                let Some(first) = hits.first() else {
+                    continue 'instances;
+                };
+                lhs.push(first.string_value(doc).into_boxed_str());
+            }
+            // Every dependent part must be present; its hits are the
+            // instance's members, so each is selected once.
+            let mut members = Vec::new();
+            for part in &fd.rhs {
+                let hits = part.select_from_with(evaluator, instance.clone());
+                if hits.is_empty() {
+                    continue 'instances;
+                }
+                if members.is_empty() {
+                    members = hits;
+                } else {
+                    members.extend(hits);
+                }
+            }
+            match groups.entry(lhs.into_boxed_slice()) {
+                Entry::Vacant(group) => {
+                    group.insert(members);
+                }
+                Entry::Occupied(mut group) => group.get_mut().extend(members),
+            }
         }
-        out.extend(groups.into_values());
+        out.extend(groups.into_iter().map(|(lhs, members)| RedundancyGroup {
+            fd: fd_index,
+            lhs,
+            members,
+        }));
     }
     out
 }
@@ -105,18 +112,20 @@ mod tests {
         Fd::new("editor-publisher", "//book", &["editor"], &["@publisher"]).unwrap()
     }
 
+    fn group<'a>(groups: &'a [RedundancyGroup], editor: &str) -> &'a RedundancyGroup {
+        groups.iter().find(|g| &*g.lhs[0] == editor).unwrap()
+    }
+
     #[test]
     fn groups_by_determinant() {
         let doc = doc();
         let groups = discover_groups(&doc, &[fd()]);
         assert_eq!(groups.len(), 2);
-        let potter = groups.iter().find(|g| g.lhs == vec!["Potter"]).unwrap();
+        let potter = group(&groups, "Potter");
         assert_eq!(potter.members.len(), 3);
-        assert_eq!(potter.instance_count, 3);
-        assert_eq!(potter.rhs_value, vec!["mkp"]);
         assert!(potter.is_redundant());
 
-        let gamer = groups.iter().find(|g| g.lhs == vec!["Gamer"]).unwrap();
+        let gamer = group(&groups, "Gamer");
         assert_eq!(gamer.members.len(), 1);
         assert!(!gamer.is_redundant());
     }
@@ -125,11 +134,9 @@ mod tests {
     fn unit_id_is_entity_independent() {
         let doc = doc();
         let groups = discover_groups(&doc, &[fd()]);
-        let potter = groups.iter().find(|g| g.lhs == vec!["Potter"]).unwrap();
-        let id = potter.unit_id();
-        assert!(id.contains("editor-publisher"));
-        assert!(id.contains("Potter"));
-        // Removing one duplicate must not change the unit id.
+        let potter = group(&groups, "Potter");
+        // The identity is the FD plus the determinant tuple: removing
+        // duplicates must not change it.
         let smaller = parse(
             r#"<db>
                 <book publisher="mkp"><title>A</title><editor>Potter</editor></book>
@@ -137,16 +144,16 @@ mod tests {
         )
         .unwrap();
         let groups2 = discover_groups(&smaller, &[fd()]);
-        assert_eq!(groups2[0].unit_id(), id);
+        assert_eq!((groups2[0].fd, &groups2[0].lhs), (potter.fd, &potter.lhs));
     }
 
     #[test]
     fn group_members_are_value_nodes() {
         let doc = doc();
         let groups = discover_groups(&doc, &[fd()]);
-        for g in &groups {
-            for m in &g.members {
-                assert_eq!(m.string_value(&doc), g.rhs_value[0]);
+        for (editor, publisher) in [("Potter", "mkp"), ("Gamer", "acm")] {
+            for m in &group(&groups, editor).members {
+                assert_eq!(m.string_value(&doc), publisher);
             }
         }
     }
@@ -164,8 +171,8 @@ mod tests {
         let fd2 = Fd::new("pub-country", "//book", &["@publisher"], &["@country"]).unwrap();
         let groups = discover_groups(&doc, &[fd1, fd2]);
         assert_eq!(groups.len(), 2);
-        assert!(groups.iter().any(|g| g.fd_name == "ed-pub"));
-        assert!(groups.iter().any(|g| g.fd_name == "pub-country"));
+        assert_eq!(groups[0].fd, 0);
+        assert_eq!(groups[1].fd, 1);
     }
 
     #[test]

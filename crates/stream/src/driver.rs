@@ -16,7 +16,7 @@
 //! batch is flushed); forensic skips damaged records and turns a reader
 //! error after the root into a partial verdict.
 
-use crate::engine::RecordEngine;
+use crate::engine::{RecordEngine, RecordScratch};
 use crate::metrics::stream_metrics;
 use crate::parallel::{fan_out, Batch, Worker, BATCH_BYTES_PER_WORKER, MAX_WORKERS};
 use crate::reader::{Misc, TopEvent, TopLevelReader};
@@ -64,7 +64,9 @@ pub fn embed<R: BufRead, W: Write>(
         key,
         watermark,
         PartialEmbed::default,
-        |engine, record, at, partial, out| engine.embed_record_into(record, at, partial, out),
+        |engine, record, at, scratch, partial, out| {
+            engine.embed_record_into(record, at, scratch, partial, out)
+        },
     )?;
     Ok(StreamEmbedReport {
         chunk_timings: run.timings,
@@ -95,7 +97,9 @@ pub fn detect<R: BufRead>(
         key,
         watermark,
         || PartialDetect::new(width, mode == Forensic),
-        |engine, record, at, partial, _| engine.detect_record(record, at, partial),
+        |engine, record, at, scratch, partial, _| {
+            engine.detect_record(record, at, scratch, partial)
+        },
     )?;
     stream_metrics().votes.add(run.partial.votes_cast as u64);
     Ok(StreamDetectReport {
@@ -211,7 +215,14 @@ where
     R: BufRead,
     W: Write,
     P: Partial,
-    F: Fn(&RecordEngine<'a>, String, Position, &mut P, &mut String) -> Result<(), StreamError>
+    F: Fn(
+            &RecordEngine<'a>,
+            String,
+            Position,
+            &mut RecordScratch,
+            &mut P,
+            &mut String,
+        ) -> Result<(), StreamError>
         + Sync,
 {
     if watermark.is_empty() {

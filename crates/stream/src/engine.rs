@@ -16,19 +16,26 @@
 //! process-wide [`wmx_core::PlanCache`], so repeated streams over the
 //! same schema reuse one compiled plan, its interned selection
 //! vocabulary lets [`wmx_core::UnitKey`]s from different records/chunks
-//! compare and merge directly, records are parsed from a clone of a
+//! compare and merge directly, records are parsed into the names of a
 //! seeded prototype [`Interner`] (root + binding vocabulary) so their
 //! symbol ids stay stable across the whole stream, and identity
 //! queries are only constructed for units that actually mark — detection
 //! builds none at all. Per-record work does no name lookups and parses
 //! no queries: every access step was resolved at plan compile time.
+//!
+//! What does not depend on the record lives in each worker's
+//! [`RecordScratch`]: the keyed decisions of the FD groups it has met
+//! (one group recurs in many records) and the previous record's symbol
+//! table, truncated back to the prototype's names.
 
 use crate::report::{PartialDetect, PartialEmbed};
 use crate::{StreamContext, StreamError};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use wmx_core::{
-    global_plan_cache, DomNodes, DomNodesMut, SelectionPlan, UnitMarker, UnitTag, Watermark,
+    global_plan_cache, DomNodes, DomNodesMut, SelectionPlan, UnitKey, UnitKeying, UnitMarker,
+    UnitTag, Watermark,
 };
 use wmx_crypto::SecretKey;
 use wmx_rewrite::binding::AttrBinding;
@@ -53,9 +60,26 @@ pub(crate) struct RecordEngine<'a> {
     /// same schema). Pre-resolved symbols and pre-compiled access steps
     /// mean per-record execution never touches an interner or a parser.
     plan: Arc<SelectionPlan>,
-    /// Seeded prototype symbol table cloned into every record's
-    /// document: record symbols are stable across the stream.
+    /// Seeded prototype symbol table every record's document starts
+    /// from (a clone, or a recycled table truncated back to it): record
+    /// symbols are stable across the stream.
     prototype: Interner,
+}
+
+/// One worker's record-independent state, kept across its records and
+/// batches and never merged. It grows with the distinct FD groups the
+/// worker meets (the bound the partials' FD maps already have) plus one
+/// symbol table; key-identified units are unique per record, so their
+/// decisions are not kept.
+#[derive(Default)]
+pub(crate) struct RecordScratch {
+    /// Keyed values per FD group; `None` when the PRF does not select
+    /// the group.
+    fd_keying: HashMap<UnitKey, Option<UnitKeying>>,
+    /// The previous record's symbol table, truncated back to the
+    /// prototype. A record that fails to parse consumes it, so the next
+    /// record starts from a fresh clone of the prototype.
+    interner: Option<Interner>,
 }
 
 /// Interns the name-shaped fragments of a path text (step and attribute
@@ -130,7 +154,11 @@ impl<'a> RecordEngine<'a> {
             prototype,
         };
         // An empty record is the root alone: no entity may bind to it.
-        let probe = engine.parse_record(String::new(), Position { line: 1, column: 1 })?;
+        let probe = engine.parse_record(
+            String::new(),
+            Position { line: 1, column: 1 },
+            &mut RecordScratch::default(),
+        )?;
         let probe_root = probe.root_element();
         let mut entity_names: Vec<&str> = ctx
             .config
@@ -169,12 +197,49 @@ impl<'a> RecordEngine<'a> {
     }
 
     /// Parses one raw record, which starts at `at` in the input, under
-    /// the root. The record's own buffer becomes the text backing, so
-    /// its values land in the DOM as zero-copy slices.
-    fn parse_record(&self, record: String, at: Position) -> Result<Document, StreamError> {
+    /// the root, into the scratch's recycled symbol table (or a clone of
+    /// the prototype). The record's own buffer becomes the text backing,
+    /// so its values land in the DOM as zero-copy slices.
+    fn parse_record(
+        &self,
+        record: String,
+        at: Position,
+        scratch: &mut RecordScratch,
+    ) -> Result<Document, StreamError> {
         let (root, attributes) = (self.root, &self.root_attributes);
-        wmx_xml::parse_record(record, root, attributes, at, self.prototype.clone())
-            .map_err(StreamError::Xml)
+        let seed = scratch
+            .interner
+            .take()
+            .unwrap_or_else(|| self.prototype.clone());
+        wmx_xml::parse_record(record, root, attributes, at, seed).map_err(StreamError::Xml)
+    }
+
+    /// Keeps a finished record's symbol table for the next record,
+    /// forgetting the names the record added to the prototype's.
+    fn recycle(&self, doc: Document, scratch: &mut RecordScratch) {
+        let mut interner = doc.into_interner();
+        interner.truncate(self.prototype.len());
+        scratch.interner = Some(interner);
+    }
+
+    /// The unit's keyed values, or `None` when the PRF does not select
+    /// it. An FD group's are computed once per worker.
+    fn keying(&self, key: &UnitKey, scratch: &mut RecordScratch) -> Option<UnitKeying> {
+        let decide = || {
+            let id = key.id(self.plan.table());
+            self.marker
+                .is_selected(&id, self.ctx.config.gamma)
+                .then(|| self.marker.keying(&id, self.watermark.len()))
+        };
+        if key.tag != UnitTag::FdGroup {
+            return decide();
+        }
+        if let Some(&keying) = scratch.fd_keying.get(key) {
+            return keying;
+        }
+        let keying = decide();
+        scratch.fd_keying.insert(key.clone(), keying);
+        keying
     }
 
     /// Embeds into one record and appends its serialized bytes to `out`,
@@ -183,17 +248,17 @@ impl<'a> RecordEngine<'a> {
         &self,
         record: String,
         at: Position,
+        scratch: &mut RecordScratch,
         partial: &mut PartialEmbed,
         out: &mut String,
     ) -> Result<(), StreamError> {
-        let mut doc = self.parse_record(record, at)?;
+        let mut doc = self.parse_record(record, at, scratch)?;
         let units = self.plan.execute(&doc);
         let table = self.plan.table();
         for unit in units {
             let is_fd = unit.key.tag == UnitTag::FdGroup;
-            let selected = self
-                .marker
-                .is_selected(&unit.key.id(table), self.ctx.config.gamma);
+            let keying = self.keying(&unit.key, scratch);
+            let selected = keying.is_some();
             if is_fd {
                 // One map entry per FD group carries total/selected/
                 // marked flags — the key is cloned at most once per
@@ -206,12 +271,11 @@ impl<'a> RecordEngine<'a> {
                     partial.selected_local += 1;
                 }
             }
-            if !selected {
+            let Some(keying) = keying else {
                 continue;
-            }
-            let marked_nodes = self.marker.mark_unit(
+            };
+            let marked_nodes = keying.mark(
                 &mut DomNodesMut::new(&mut doc, &unit.nodes),
-                &unit.key.id(table),
                 unit.mark,
                 &self.watermark,
             )?;
@@ -250,6 +314,7 @@ impl<'a> RecordEngine<'a> {
                 node_to_string_into(&doc, node, out);
             }
         }
+        self.recycle(doc, scratch);
         Ok(())
     }
 
@@ -258,29 +323,20 @@ impl<'a> RecordEngine<'a> {
         &self,
         record: String,
         at: Position,
+        scratch: &mut RecordScratch,
         partial: &mut PartialDetect,
     ) -> Result<(), StreamError> {
-        let doc = self.parse_record(record, at)?;
+        let doc = self.parse_record(record, at, scratch)?;
         let units = self.plan.execute(&doc);
-        let table = self.plan.table();
-        let wm_len = self.watermark.len();
         for unit in units {
-            if !self
-                .marker
-                .is_selected(&unit.key.id(table), self.ctx.config.gamma)
-            {
+            let Some(keying) = self.keying(&unit.key, scratch) else {
                 if let Some(tallies) = partial.forensics.as_mut() {
                     tallies.observe_unselected(&unit.key);
                 }
                 continue;
-            }
+            };
             let is_fd = unit.key.tag == UnitTag::FdGroup;
-            let votes = self.marker.extract_unit(
-                &DomNodes::new(&doc, &unit.nodes),
-                &unit.key.id(table),
-                unit.mark,
-                wm_len,
-            );
+            let votes = keying.extract(&DomNodes::new(&doc, &unit.nodes), unit.mark);
             if let Some(tallies) = partial.forensics.as_mut() {
                 tallies.observe(
                     &unit.key,
@@ -307,6 +363,7 @@ impl<'a> RecordEngine<'a> {
         }
         partial.records += 1;
         partial.peak_resident_nodes = partial.peak_resident_nodes.max(doc.arena_len());
+        self.recycle(doc, scratch);
         Ok(())
     }
 }

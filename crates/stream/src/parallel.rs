@@ -3,12 +3,12 @@
 //! A multi-worker pass reads records into a [`Batch`] until it holds
 //! `workers ×` [`BATCH_BYTES_PER_WORKER`] content bytes, then [`fan_out`]
 //! splits it into one contiguous chunk per [`Worker`]. A worker keeps its
-//! output buffer and its timing across batches, so the buffers warm up
-//! once. Because chunks are contiguous and records are emitted and
-//! partials merged in worker order, the output and the report equal the
-//! one-worker pass.
+//! output buffer, its record scratch and its timing across batches, so
+//! the buffers and the FD-group decisions warm up once. Because chunks
+//! are contiguous and records are emitted and partials merged in worker
+//! order, the output and the report equal the one-worker pass.
 
-use crate::engine::RecordEngine;
+use crate::engine::{RecordEngine, RecordScratch};
 use crate::reader::{Misc, TopEvent};
 use crate::report::ChunkTiming;
 use crate::StreamError;
@@ -31,6 +31,9 @@ pub(crate) struct Worker<P> {
     pub partial: P,
     /// This batch's record outputs, back to back.
     pub out: String,
+    /// Record-independent state for this worker's records. Unlike the
+    /// partial, it is never replaced between batches.
+    pub scratch: RecordScratch,
     /// One entry per record of this batch's chunk, in order: its span in
     /// `out`, or its error. Strict mode stops the chunk at its first
     /// error.
@@ -44,6 +47,7 @@ impl<P> Worker<P> {
         Worker {
             partial,
             out: String::new(),
+            scratch: RecordScratch::default(),
             results: Vec::new(),
             timing: None,
         }
@@ -57,7 +61,14 @@ impl<P> Worker<P> {
         chunk: &mut [(String, Position)],
         strict: bool,
     ) where
-        F: Fn(&RecordEngine<'a>, String, Position, &mut P, &mut String) -> Result<(), StreamError>,
+        F: Fn(
+            &RecordEngine<'a>,
+            String,
+            Position,
+            &mut RecordScratch,
+            &mut P,
+            &mut String,
+        ) -> Result<(), StreamError>,
     {
         let start = Instant::now();
         let timing = self.timing.get_or_insert(ChunkTiming {
@@ -67,7 +78,14 @@ impl<P> Worker<P> {
         for (record, at) in chunk {
             let begin = self.out.len();
             let record = std::mem::take(record);
-            let result = work(engine, record, *at, &mut self.partial, &mut self.out);
+            let result = work(
+                engine,
+                record,
+                *at,
+                &mut self.scratch,
+                &mut self.partial,
+                &mut self.out,
+            );
             let result = result.map(|()| begin..self.out.len());
             let failed = result.is_err();
             timing.records += usize::from(!failed);

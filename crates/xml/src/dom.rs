@@ -481,6 +481,13 @@ impl Document {
         &self.interner
     }
 
+    /// Consumes the document, returning its symbol table: a caller that
+    /// parses one document after another can [`Interner::truncate`] the
+    /// table back to its seed and parse the next one into it.
+    pub fn into_interner(self) -> Interner {
+        self.interner
+    }
+
     /// Replaces the document's (empty) symbol table with one whose
     /// symbols the arena already references. Used by the parser, which
     /// interns names at lex time and installs the table once the tree is

@@ -194,12 +194,18 @@ impl Interner {
         self.names.iter().map(AsRef::as_ref)
     }
 
-    /// Rolls the table back to `len` entries, forgetting newer symbols.
-    /// Used by the pull parser to discard names interned while lexing a
-    /// token that turned out to be incomplete at a chunk boundary (a
-    /// truncated tag name must not occupy a symbol, or chunked and batch
-    /// lexing would assign different ids).
-    pub(crate) fn truncate(&mut self, len: usize) {
+    /// Rolls the table back to `len` entries, forgetting newer symbols;
+    /// the first `len` symbols keep their ids. The pull parser uses it to
+    /// discard names interned while lexing a token that turned out to be
+    /// incomplete at a chunk boundary (a truncated tag name must not
+    /// occupy a symbol, or chunked and batch lexing would assign
+    /// different ids). The stream engine uses it to return one record's
+    /// table to its prototype's names, so the next record reuses the
+    /// table's allocations instead of cloning the prototype.
+    pub fn truncate(&mut self, len: usize) {
+        if self.names.len() <= len {
+            return; // nothing to forget: the recent-name cache stays valid
+        }
         while self.names.len() > len {
             let name = self.names.pop().expect("length checked");
             self.map.remove(&*name);

@@ -518,6 +518,30 @@ mod tests {
     }
 
     #[test]
+    fn a_record_interner_truncates_back_to_its_seed() {
+        let mut seed = Interner::new();
+        let names = ["db", "book", "title"];
+        let syms: Vec<Sym> = names.iter().map(|n| seed.intern(n)).collect();
+        let at = Position { line: 1, column: 1 };
+        let record = "<book><note>n</note><title>A</title></book>";
+        let doc = parse_record(record.into(), syms[0], &[], at, seed.clone()).unwrap();
+        assert!(doc.lookup_sym("note").is_some());
+        let mut recycled = doc.into_interner();
+        recycled.truncate(seed.len());
+        assert_eq!(recycled.len(), seed.len());
+        assert_eq!(recycled.lookup("note"), None);
+        for (name, sym) in names.iter().zip(&syms) {
+            assert_eq!(recycled.lookup(name), Some(*sym));
+        }
+        // The next record interns exactly as it would into a fresh clone.
+        let next = "<book><title>B</title><isbn>1</isbn></book>";
+        let reused = parse_record(next.into(), syms[0], &[], at, recycled).unwrap();
+        let fresh = parse_record(next.into(), syms[0], &[], at, seed).unwrap();
+        let table = |d: &Document| d.interner().names().map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(table(&reused), table(&fresh));
+    }
+
+    #[test]
     fn comments_between_root_siblings_allowed() {
         let doc = parse("<!-- head --><a/><!-- tail -->").unwrap();
         assert!(doc.root_element().is_some());

@@ -8,7 +8,9 @@
 //! * Over generated corpora and adversarial proptest documents, plan
 //!   execution yields the same unit sequence — same ids, same nodes,
 //!   same marks — and the same PRF byte stream (selection, bit index,
-//!   nonce, whitening) as the oracle's textual ids.
+//!   nonce, whitening) as the oracle's textual ids. The oracle groups
+//!   FD duplicates itself ([`oracle_groups`]), so adversarial FD
+//!   documents check `wmx_schema::discover_groups_with` too.
 //! * Plan compilation rejects exactly the configurations the oracle
 //!   rejects, with the same message.
 //! * A plan-cache hit returns the very same compiled plan a cold
@@ -19,7 +21,7 @@
 //!   on compiled plans — tally identical votes and verdicts.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use wmx_core::{
     detect, embed, DetectionInput, EncoderConfig, MarkKind, MarkUnit, MarkableAttr, PlanCache,
     SelectionPlan, SelectionTable, Watermark,
@@ -30,7 +32,7 @@ use wmx_rewrite::binding::{AttrBinding, EntityBinding};
 use wmx_rewrite::SchemaBinding;
 use wmx_schema::{discover_groups, Fd};
 use wmx_stream::{stream_detect, StreamContext};
-use wmx_xml::Document;
+use wmx_xml::{Document, NodeId};
 use wmx_xpath::{batch_select, Evaluator, NodeRef, Query};
 
 fn datasets() -> Vec<Dataset> {
@@ -65,6 +67,41 @@ struct OracleUnit {
     mark: MarkKind,
 }
 
+/// One FD-duplicate group as the oracle finds it.
+struct OracleGroup {
+    fd_name: String,
+    lhs: Vec<String>,
+    members: Vec<NodeRef>,
+}
+
+/// Groups FD duplicates through the FD's public accessors alone: per
+/// FD in declaration order, instances sharing a determinant tuple (each
+/// part the first hit's string value) pool their dependent value nodes
+/// instance-major, in determinant-tuple order. An instance missing a
+/// determinant or dependent part is outside the FD's scope.
+fn oracle_groups(doc: &Document, fds: &[Fd]) -> Vec<OracleGroup> {
+    let mut out = Vec::new();
+    for fd in fds {
+        let mut groups: BTreeMap<Vec<String>, Vec<NodeRef>> = BTreeMap::new();
+        for instance in fd.entity.select(doc) {
+            let (Some(lhs), Some(_)) = (fd.lhs_of(doc, &instance), fd.rhs_of(doc, &instance))
+            else {
+                continue;
+            };
+            groups
+                .entry(lhs)
+                .or_default()
+                .extend(fd.rhs_nodes(doc, &instance));
+        }
+        out.extend(groups.into_iter().map(|(lhs, members)| OracleGroup {
+            fd_name: fd.name.clone(),
+            lhs,
+            members,
+        }));
+    }
+    out
+}
+
 /// The interpretive unit enumerator of identifier creation (§2.3), kept
 /// independent of the plan: it reads `config` afresh on every call and
 /// reaches the document only through the public binding, FD and XPath
@@ -81,7 +118,7 @@ fn oracle_units(
     let mut units = Vec::new();
     let mut fd_covered: HashSet<NodeRef> = HashSet::new();
     if config.use_fd_groups {
-        for group in discover_groups(doc, fds) {
+        for group in oracle_groups(doc, fds) {
             // Only an FD whose dependent is a declared markable carries
             // marks; every member does, even in a singleton group.
             let Some(markable) = oracle_fd_markable(binding, fds, &group.fd_name, config) else {
@@ -92,7 +129,7 @@ fn oracle_units(
             }
             fd_covered.extend(group.members.iter().cloned());
             units.push(OracleUnit {
-                id: group.unit_id(),
+                id: format!("fd:{}|lhs={}", group.fd_name, group.lhs.join("\u{1f}")),
                 nodes: group.members,
                 mark: MarkKind::Value(markable.data_type),
             });
@@ -520,8 +557,114 @@ fn title_binding() -> SchemaBinding {
     )
 }
 
+/// Determinant values that stress grouping and the unit id: the empty
+/// string, the tuple separator, the id's own `|lhs=` and `fd:` markup.
+const EDITORS: [&str; 6] = ["Potter", "Gamer", "", "a\u{1f}b", "|lhs=v", "fd:e|lhs=v"];
+const PUBLISHERS: [&str; 4] = ["mkp", "acm", "", "p\u{1f}q"];
+
+/// Builds `<db>` with one `<book>` per `(editor, publisher, year)` spec,
+/// attaching values as raw DOM text so arbitrary characters survive.
+/// Editor: 0 none, 1 two `<editor>` children, else one child. Publisher
+/// and year: 0 none. Indexes pick from [`EDITORS`] and [`PUBLISHERS`].
+fn fd_doc(books: &[(u8, usize, usize, u8, usize)]) -> Document {
+    let mut doc = Document::new();
+    let db = doc.create_element("db").expect("arena fits");
+    let doc_node = doc.document_node();
+    doc.append_child(doc_node, db);
+    fn child(doc: &mut Document, book: NodeId, name: &str, text: &str) {
+        let node = doc.create_element(name).expect("arena fits");
+        doc.append_child(book, node);
+        doc.set_text_content(node, text.to_string())
+            .expect("arena fits");
+    }
+    for (i, &(editor, first, second, publisher, year)) in books.iter().enumerate() {
+        let book = doc.create_element("book").expect("arena fits");
+        doc.append_child(db, book);
+        if publisher > 0 {
+            let value = PUBLISHERS[usize::from(publisher) % PUBLISHERS.len()];
+            doc.set_attribute(book, "publisher", value.to_string())
+                .expect("arena fits");
+        }
+        child(&mut doc, book, "title", &format!("T{i}"));
+        if editor > 0 {
+            child(&mut doc, book, "editor", EDITORS[first % EDITORS.len()]);
+        }
+        if editor == 1 {
+            child(&mut doc, book, "editor", EDITORS[second % EDITORS.len()]);
+        }
+        if year > 0 {
+            child(&mut doc, book, "year", &(1990 + year % 3).to_string());
+        }
+    }
+    doc
+}
+
+fn fd_binding() -> SchemaBinding {
+    SchemaBinding::new(
+        "db",
+        vec![EntityBinding::new(
+            "book",
+            "/db/book",
+            "title",
+            vec![
+                ("title", AttrBinding::ChildText("title".into())),
+                ("editor", AttrBinding::ChildText("editor".into())),
+                ("year", AttrBinding::ChildText("year".into())),
+                ("publisher", AttrBinding::Attribute("publisher".into())),
+            ],
+        )
+        .expect("static binding is valid")],
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Adversarial FD documents — instances missing the determinant or
+    /// the dependent, two determinant children, empty and separator-laden
+    /// determinants, one- and two-part determinants, two dependents —
+    /// group exactly as the oracle groups them, and plan execution over
+    /// them matches the oracle's units.
+    #[test]
+    fn adversarial_fd_docs_group_like_the_oracle(
+        books in prop::collection::vec((0u8..4, 0usize..6, 0usize..6, 0u8..5, 0usize..4), 1..24),
+        fd_set in 0u8..3,
+        gamma in 1u32..5,
+    ) {
+        let doc = fd_doc(&books);
+        let one_part = Fd::new("editor-publisher", "/db/book", &["editor"], &["@publisher"])
+            .expect("static fd is valid");
+        let two_part =
+            Fd::new("editor-year-publisher", "/db/book", &["editor", "year"], &["@publisher"])
+                .expect("static fd is valid");
+        // Two dependents: no markable backs it, so only the grouping
+        // itself sees it.
+        let two_dependents =
+            Fd::new("editor-publisher-year", "/db/book", &["editor"], &["@publisher", "year"])
+                .expect("static fd is valid");
+        let mut fds = match fd_set {
+            0 => vec![one_part],
+            1 => vec![two_part],
+            _ => vec![two_part, one_part],
+        };
+        fds.push(two_dependents);
+        let groups = discover_groups(&doc, &fds);
+        let oracle = oracle_groups(&doc, &fds);
+        prop_assert_eq!(groups.len(), oracle.len());
+        for (group, expected) in groups.iter().zip(&oracle) {
+            prop_assert_eq!(&fds[group.fd].name, &expected.fd_name);
+            prop_assert!(group.lhs.iter().map(|v| &**v).eq(expected.lhs.iter().map(String::as_str)));
+            prop_assert_eq!(&group.members, &expected.members);
+        }
+        let config = EncoderConfig::new(
+            gamma,
+            vec![
+                MarkableAttr::integer("book", "year", 1),
+                MarkableAttr::text("book", "publisher"),
+            ],
+        );
+        assert_plan_matches_oracle("adversarial-fd", &doc, &fd_binding(), &fds, &config);
+    }
 
     /// Adversarial key values — pipes, the id prefixes themselves, the
     /// FD tuple separator, unicode — never split the compiled plan from

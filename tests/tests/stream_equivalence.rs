@@ -799,3 +799,106 @@ fn forensic_detection_salvages_the_records_after_a_lexically_damaged_one() {
         );
     }
 }
+
+/// A detection report's counters and verdict, for cross-run comparison.
+fn counters(report: &wmx_core::DetectionReport) -> (usize, usize, usize, usize, usize, bool) {
+    (
+        report.total_queries,
+        report.located_queries,
+        report.votes_cast,
+        report.voted_bits,
+        report.matched_bits,
+        report.detected,
+    )
+}
+
+/// Each worker decides an FD group once and keeps the decision across
+/// batches. On a corpus that spans several batches per worker, with 4
+/// editors recurring in every batch, every worker count must still embed
+/// the DOM's bytes and queries and tally the same votes, counters and
+/// forensics.
+#[test]
+fn fd_decisions_hold_across_batches_and_workers() {
+    let dataset = publications::generate(&publications::PublicationsConfig {
+        records: 3_500,
+        editors: 4,
+        seed: 53,
+        gamma: 3,
+    });
+    let input = to_string(&dataset.doc);
+    // Two workers fill a batch at 2 × 256 KiB of record bytes.
+    assert!(input.len() > 2 * 256 * 1024, "corpus spans one batch");
+    let (dom_out, dom_report) = dom_embed_bytes(&input, &dataset);
+    let mut altered = parse(&dom_out).unwrap();
+    AlterationAttack::values(0.1, vec!["//book/year".to_string()], 53).apply(&mut altered);
+    let altered = to_string(&altered);
+    let reference = dom_forensics(&altered, &dataset, &dom_report.queries);
+    let intruder = SecretKey::from_passphrase("intruder");
+    let mut first: Option<(wmx_core::DetectionReport, wmx_core::DetectionReport)> = None;
+    for workers in [1usize, 2, 3, 8] {
+        let (out, report) = par_embed(&input, workers, ctx(&dataset), &key(), &wm()).unwrap();
+        assert!(out == dom_out, "workers={workers}: bytes diverge from DOM");
+        assert_eq!(
+            query_set(&report.report.queries),
+            query_set(&dom_report.queries),
+            "workers={workers}"
+        );
+        let found = par_detect_forensic(&altered, workers, ctx(&dataset), &key(), &wm(), 0.85)
+            .unwrap()
+            .report;
+        assert_eq!(
+            found.forensics.as_ref(),
+            Some(&reference),
+            "workers={workers}"
+        );
+        let wrong = par_detect(&dom_out, workers, ctx(&dataset), &intruder, &wm(), 0.85)
+            .unwrap()
+            .report;
+        let (found_1, wrong_1) = first.get_or_insert_with(|| (found.clone(), wrong.clone()));
+        assert_eq!(found.bit_votes, found_1.bit_votes, "workers={workers}");
+        assert_eq!(counters(&found), counters(found_1), "workers={workers}");
+        assert_eq!(wrong.bit_votes, wrong_1.bit_votes, "workers={workers}");
+        assert_eq!(counters(&wrong), counters(wrong_1), "workers={workers}");
+    }
+}
+
+/// Records are parsed into one recycled symbol table. A name only some
+/// records use (`<note lang>`) must not change a later record's output
+/// or votes, whether it comes first or last.
+#[test]
+fn record_only_names_do_not_leak_into_later_records() {
+    let dataset = publications::generate(&publications::PublicationsConfig {
+        records: 40,
+        editors: 5,
+        seed: 54,
+        gamma: 2,
+    });
+    let plain = to_string(&dataset.doc);
+    let note = "<note lang=\"en\">n</note></book>";
+    let first = plain.replacen("</book>", note, 1);
+    let last = {
+        let at = plain.rfind("</book>").unwrap();
+        [&plain[..at], note, &plain[at + "</book>".len()..]].concat()
+    };
+    for input in [first, last] {
+        let (dom_out, dom_report) = dom_embed_bytes(&input, &dataset);
+        let marked = parse(&dom_out).unwrap();
+        let dom_votes = detect(
+            &marked,
+            &DetectionInput {
+                queries: &dom_report.queries,
+                key: key(),
+                watermark: wm(),
+                threshold: 0.85,
+                mapping: None,
+            },
+        )
+        .bit_votes;
+        for workers in [1usize, 2] {
+            let (out, _) = par_embed(&input, workers, ctx(&dataset), &key(), &wm()).unwrap();
+            assert_eq!(out, dom_out, "workers={workers}");
+            let found = par_detect(&dom_out, workers, ctx(&dataset), &key(), &wm(), 0.85).unwrap();
+            assert_eq!(found.report.bit_votes, dom_votes, "workers={workers}");
+        }
+    }
+}
