@@ -9,12 +9,12 @@
 //! likely the observed agreement would be for an unrelated document.
 
 use crate::encoder::StoredQuery;
-use crate::nodectx::{DomNodes, UnitMarker};
+use crate::nodectx::{DomNodes, UnitMarker, UnitVotes};
 use crate::wm::Watermark;
 use wmx_crypto::SecretKey;
 use wmx_rewrite::{rewrite::rewrite_through, SchemaMapping};
 use wmx_xml::Document;
-use wmx_xpath::{Evaluator, Query};
+use wmx_xpath::{Evaluator, NodeRef, Query};
 
 /// Detection parameters.
 #[derive(Debug, Clone)]
@@ -69,7 +69,7 @@ impl BitVotes {
 }
 
 /// Detection outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectionReport {
     /// Queries executed.
     pub total_queries: usize,
@@ -128,19 +128,33 @@ impl DetectionReport {
 /// Runs detection over `doc`.
 pub fn detect(doc: &Document, input: &DetectionInput<'_>) -> DetectionReport {
     let _detect_span = wmx_telemetry::span("detect");
-    let (bit_votes, counters) = collect_query_votes(doc, input, input.watermark.len());
+    let (bit_votes, counters) = collect_query_votes(doc, input, input.watermark.len(), None);
     report_from_votes(bit_votes, &input.watermark, input.threshold, counters)
+}
+
+/// What the query pass located for one stored query: kept in forensic
+/// mode, so the forensic scan can reuse the votes of every unit it meets
+/// again with the same nodes.
+pub(crate) struct LocatedQuery {
+    /// Index into [`DetectionInput::queries`] (the unit id and the mark).
+    pub stored: usize,
+    /// The nodes the query located (never empty).
+    pub nodes: Vec<NodeRef>,
+    /// The votes extracted from `nodes`.
+    pub votes: UnitVotes,
 }
 
 /// The query-driven extraction pass shared by [`detect`] and the
 /// forensic decoder: resolves and batch-answers the stored query set and
 /// tallies one vote per located value node into `wm_len` bit slots
 /// (`wm_len` is the *effective* watermark width — base length times the
-/// redundancy factor).
+/// redundancy factor). With `located`, each located query's nodes and
+/// votes are also pushed there, in stored-query order.
 pub(crate) fn collect_query_votes(
     doc: &Document,
     input: &DetectionInput<'_>,
     wm_len: usize,
+    mut located: Option<&mut Vec<LocatedQuery>>,
 ) -> (Vec<BitVotes>, VoteCounters) {
     let marker = UnitMarker::new(input.key.clone());
     let mut bit_votes = vec![BitVotes::default(); wm_len];
@@ -160,28 +174,32 @@ pub(crate) fn collect_query_votes(
     // queries fall back to per-query evaluation; either way the node
     // lists — and therefore every vote — are identical to the
     // query-at-a-time loop.
-    let mut resolved: Vec<(usize, Query)> = Vec::with_capacity(input.queries.len());
+    // `compiled[slot]` is the resolved form of `input.queries[stored_of[slot]]`.
+    let mut stored_of: Vec<usize> = Vec::with_capacity(input.queries.len());
+    let mut compiled: Vec<Query> = Vec::with_capacity(input.queries.len());
     {
         let _s = wmx_telemetry::span("detect.resolve");
         for (i, stored) in input.queries.iter().enumerate() {
             match resolve_query(stored, input.mapping) {
-                Ok(q) => resolved.push((i, q)),
+                Ok(q) => {
+                    stored_of.push(i);
+                    compiled.push(q);
+                }
                 Err(()) => unrewritable += 1,
             }
         }
     }
-    let compiled: Vec<Query> = resolved.iter().map(|(_, q)| q.clone()).collect();
-    let batched = {
+    let mut batched = {
         let _s = wmx_telemetry::span("detect.select");
         wmx_xpath::batch_select(&evaluator, &compiled)
     };
 
     let _extract_span = wmx_telemetry::span("detect.extract");
-    for (slot, (stored_idx, query)) in resolved.iter().enumerate() {
-        let stored = &input.queries[*stored_idx];
-        let nodes = match &batched[slot] {
-            Some(nodes) => nodes.clone(),
-            None => query.select_with(&evaluator),
+    for (slot, &stored_idx) in stored_of.iter().enumerate() {
+        let stored = &input.queries[stored_idx];
+        let nodes = match batched[slot].take() {
+            Some(nodes) => nodes,
+            None => compiled[slot].select_with(&evaluator),
         };
         if nodes.is_empty() {
             continue;
@@ -195,9 +213,16 @@ pub(crate) fn collect_query_votes(
             stored.mark,
             wm_len,
         );
-        for bit in votes.bits {
+        for &bit in &votes.bits {
             votes_cast += 1;
             bit_votes[votes.bit_index].add(bit);
+        }
+        if let Some(located) = located.as_deref_mut() {
+            located.push(LocatedQuery {
+                stored: stored_idx,
+                nodes,
+                votes,
+            });
         }
     }
     drop(_extract_span);

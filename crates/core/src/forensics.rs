@@ -1,15 +1,25 @@
 //! Tamper forensics: per-unit and per-record vote localization.
 //!
 //! Detection (§2.2 step 3) yields a document-level verdict; forensics
-//! answers *where* the watermark broke. The forensic pass re-enumerates
-//! the suspect document's markable units through the compiled
-//! [`SelectionPlan`] — exactly the enumeration the streaming engine
-//! performs per record — extracts each selected unit's votes, and
-//! classifies every unit by comparing observed votes against the
-//! expected watermark bit. Extraction already removes the whitening, so
-//! a clean unit's votes all equal `watermark.bit(bit_index)`: any
-//! contradicting vote is direct evidence the unit's value was disturbed
-//! after embedding.
+//! answers *where* the watermark broke. The forensic scan enumerates the
+//! suspect document's markable units through the compiled
+//! [`SelectionPlan`](crate::plan::SelectionPlan) — exactly the
+//! enumeration the streaming engine performs per record — takes each
+//! selected unit's votes, and classifies every unit by comparing
+//! observed votes against the expected watermark bit. Extraction
+//! already removes the whitening, so a clean unit's votes all equal
+//! `watermark.bit(bit_index)`: any contradicting vote is direct evidence
+//! the unit's value was disturbed after embedding.
+//!
+//! Each unit is extracted once. The DOM decoder runs the query pass
+//! first and keeps what each stored query located; the scan reuses a
+//! query's votes for a selected unit whose rendered id equals the stored
+//! id and whose nodes and mark equal the query's. Votes depend only on
+//! the id bytes, the nodes, the mark, the key and the watermark width,
+//! so the reused votes are the ones extraction would produce. Every
+//! other selected unit — an identifier altered after embedding, a
+//! duplicated key, a layout the stored queries were rewritten for — is
+//! extracted from its own nodes.
 //!
 //! Both execution engines accumulate the same symbol-native tally map
 //! ([`ForensicTallies`], keyed by [`UnitKey`]) and render it through one
@@ -18,11 +28,11 @@
 //! strings are rendered only at report-build time, never on the
 //! per-unit vote path.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::config::EncoderConfig;
 use crate::decoder::{
-    collect_query_votes, report_from_votes, BitVotes, DetectionInput, DetectionReport,
+    collect_query_votes, report_from_votes, BitVotes, DetectionInput, DetectionReport, LocatedQuery,
 };
 use crate::identifier::{SelectionTable, UnitKey};
 use crate::nodectx::{DomNodes, UnitMarker};
@@ -176,20 +186,16 @@ impl ForensicTallies {
         ForensicTallies::default()
     }
 
-    /// Records a unit the PRF did not select.
-    pub fn observe_unselected(&mut self, key: &UnitKey) {
-        if !self.map.contains_key(key) {
-            self.map.insert(key.clone(), UnitTally::default());
-        }
+    /// Records a unit the PRF did not select. Takes the key by value:
+    /// an already-present key is dropped, not cloned.
+    pub fn observe_unselected(&mut self, key: UnitKey) {
+        self.map.entry(key).or_default();
     }
 
     /// Records one selected unit's extraction outcome: `bits` are the
     /// observed votes, `expected` the watermark bit at `bit_index`.
-    pub fn observe(&mut self, key: &UnitKey, bit_index: usize, expected: bool, bits: &[bool]) {
-        let tally = match self.map.get_mut(key) {
-            Some(t) => t,
-            None => self.map.entry(key.clone()).or_default(),
-        };
+    pub fn observe(&mut self, key: UnitKey, bit_index: usize, expected: bool, bits: &[bool]) {
+        let tally = self.map.entry(key).or_default();
         tally.selected = true;
         tally.bit_index = bit_index;
         tally.expected = expected;
@@ -246,7 +252,11 @@ impl ForensicsReport {
         decode: Option<&RedundantDecode>,
     ) -> ForensicsReport {
         let mut report = ForensicsReport::default();
+        // Each scope is rendered into one reused buffer; only a scope's
+        // first unit allocates its map key, and the record label is
+        // taken from that key at the end.
         let mut records: BTreeMap<String, RecordForensics> = BTreeMap::new();
+        let mut scope = String::new();
         for (key, tally) in &tallies.map {
             let status = if !tally.selected {
                 UnitStatus::Unselected
@@ -287,17 +297,19 @@ impl ForensicsReport {
                     report.unrecoverable_units += 1;
                 }
             }
-            let scope = key.record_scope(table);
-            let entry = records
-                .entry(scope.clone())
-                .or_insert_with(|| RecordForensics {
-                    record: scope.clone(),
+            scope.clear();
+            key.record_scope_into(table, &mut scope);
+            let entry = match records.get_mut(scope.as_str()) {
+                Some(entry) => entry,
+                None => records.entry(scope.clone()).or_insert(RecordForensics {
+                    record: String::new(),
                     units: 0,
                     selected_units: 0,
                     suspect_units: 0,
                     recovered_units: 0,
                     status: UnitStatus::Unselected,
-                });
+                }),
+            };
             entry.units += 1;
             if tally.selected {
                 entry.selected_units += 1;
@@ -309,7 +321,7 @@ impl ForensicsReport {
             }
             report.units.push(UnitForensics {
                 unit_id: key.display(table),
-                record: scope,
+                record: scope.clone(),
                 bit_index: tally.selected.then_some(tally.bit_index),
                 expected: tally.selected.then_some(tally.expected),
                 votes_for: tally.votes_for,
@@ -331,7 +343,13 @@ impl ForensicsReport {
                 report.suspect_records += 1;
             }
         }
-        report.records = records.into_values().collect();
+        report.records = records
+            .into_iter()
+            .map(|(scope, record)| RecordForensics {
+                record: scope,
+                ..record
+            })
+            .collect();
         report.tampered =
             report.suspect_units + report.recovered_units + report.unrecoverable_units > 0;
         report
@@ -399,41 +417,6 @@ impl ForensicsReport {
     }
 }
 
-/// Runs the enumeration-driven forensic scan over `doc` into `tallies`:
-/// every unit the plan enumerates is observed — unselected units for
-/// record completeness, selected units with their extracted votes
-/// against the effective watermark.
-pub(crate) fn scan_units(
-    doc: &Document,
-    ctx: ForensicContext<'_>,
-    marker: &UnitMarker,
-    wm_eff: &Watermark,
-    tallies: &mut ForensicTallies,
-) -> Result<(), WmError> {
-    let plan = global_plan_cache().get_or_compile(ctx.binding, ctx.fds, ctx.config)?;
-    let table = plan.table();
-    let wm_len = wm_eff.len();
-    for unit in plan.execute(doc) {
-        if !marker.is_selected(&unit.key.id(table), ctx.config.gamma) {
-            tallies.observe_unselected(&unit.key);
-            continue;
-        }
-        let votes = marker.extract_unit(
-            &DomNodes::new(doc, &unit.nodes),
-            &unit.key.id(table),
-            unit.mark,
-            wm_len,
-        );
-        tallies.observe(
-            &unit.key,
-            votes.bit_index,
-            wm_eff.bit(votes.bit_index),
-            &votes.bits,
-        );
-    }
-    Ok(())
-}
-
 /// Finalizes an effective-width vote tally plus forensic tallies into a
 /// [`DetectionReport`] with the forensics attached — the single render
 /// seam both the DOM forensic decoder and the streaming engine's
@@ -478,11 +461,16 @@ pub fn finalize_forensic_report(
 /// [`EncoderConfig::redundancy`] > 1, error-correcting group decode).
 ///
 /// The verdict comes from the same query-driven extraction [`detect`]
-/// performs (at the effective watermark width); localization comes from
-/// a second, enumeration-driven pass — the same per-unit walk the
-/// streaming engine performs per record — so the attached
-/// [`ForensicsReport`] is identical to the one `wmx-stream` produces on
-/// the same document.
+/// performs (at the effective watermark width). Localization then walks
+/// the plan's units — the same per-unit walk the streaming engine
+/// performs per record — so the attached [`ForensicsReport`] is
+/// identical to the one `wmx-stream` produces on the same document. A
+/// selected unit reuses the votes of the stored query that located it
+/// when the query's id, nodes and mark equal the unit's; any other
+/// selected unit (an altered identifier, a duplicated key, a layout
+/// the queries were rewritten for) is extracted from its own nodes.
+/// The `detect.forensic_reused_units` and
+/// `detect.forensic_extracted_units` counters add up the two cases.
 ///
 /// When `input.mapping` is set, forensics reflects only the units the
 /// binding locates in the *original* layout; verdicts still follow the
@@ -496,6 +484,7 @@ pub fn detect_forensic(
 ) -> Result<DetectionReport, WmError> {
     let _span = wmx_telemetry::span("detect.forensic");
     let plan = global_plan_cache().get_or_compile(ctx.binding, ctx.fds, ctx.config)?;
+    let table = plan.table();
     let redundancy = ctx.config.redundancy.max(1) as usize;
     let eff;
     let wm_eff = if redundancy > 1 {
@@ -504,16 +493,67 @@ pub fn detect_forensic(
     } else {
         &input.watermark
     };
-    let (bit_votes, counters) = collect_query_votes(doc, input, wm_eff.len());
+    let wm_len = wm_eff.len();
+    // The query pass runs first: only its located residue stays alive
+    // while the plan's units are enumerated.
+    let mut located = Vec::new();
+    let (bit_votes, counters) = collect_query_votes(doc, input, wm_len, Some(&mut located));
+    let by_id: HashMap<&str, &LocatedQuery> = located
+        .iter()
+        .map(|q| (input.queries[q.stored].unit_id.as_str(), q))
+        .collect();
+
     let marker = UnitMarker::new(input.key.clone());
     let mut tallies = ForensicTallies::new();
-    scan_units(doc, ctx, &marker, wm_eff, &mut tallies)?;
+    let mut id = String::new();
+    let (mut reused, mut extracted) = (0u64, 0u64);
+    for unit in plan.execute(doc) {
+        // Selection is decided per unit: the detection key may differ
+        // from the embedding key.
+        if !marker.is_selected(&unit.key.id(table), ctx.config.gamma) {
+            tallies.observe_unselected(unit.key);
+            continue;
+        }
+        id.clear();
+        unit.key.display_into(table, &mut id);
+        let fresh;
+        let votes = match by_id.get(id.as_str()) {
+            Some(q) if q.nodes == unit.nodes && input.queries[q.stored].mark == unit.mark => {
+                reused += 1;
+                &q.votes
+            }
+            _ => {
+                extracted += 1;
+                fresh = marker.extract_unit(
+                    &DomNodes::new(doc, &unit.nodes),
+                    &unit.key.id(table),
+                    unit.mark,
+                    wm_len,
+                );
+                &fresh
+            }
+        };
+        tallies.observe(
+            unit.key,
+            votes.bit_index,
+            wm_eff.bit(votes.bit_index),
+            &votes.bits,
+        );
+    }
+    // Free the query residue before the report render allocates.
+    drop(by_id);
+    drop(located);
+    let registry = wmx_telemetry::global();
+    registry.counter("detect.forensic_reused_units").add(reused);
+    registry
+        .counter("detect.forensic_extracted_units")
+        .add(extracted);
     Ok(finalize_forensic_report(
         bit_votes,
         &input.watermark,
         input.threshold,
         counters,
-        Some((&tallies, plan.table())),
+        Some((&tallies, table)),
     ))
 }
 
@@ -672,22 +712,50 @@ mod tests {
         );
     }
 
+    /// Observes every unit the plan enumerates in `doc`, extracting the
+    /// selected ones.
+    fn scan(
+        doc: &Document,
+        key: &SecretKey,
+        wm: &Watermark,
+        cfg: &EncoderConfig,
+    ) -> ForensicTallies {
+        let plan = global_plan_cache()
+            .get_or_compile(&binding(), &[], cfg)
+            .unwrap();
+        let table = plan.table();
+        let marker = UnitMarker::new(key.clone());
+        let mut tallies = ForensicTallies::new();
+        for unit in plan.execute(doc) {
+            if !marker.is_selected(&unit.key.id(table), cfg.gamma) {
+                tallies.observe_unselected(unit.key);
+                continue;
+            }
+            let votes = marker.extract_unit(
+                &DomNodes::new(doc, &unit.nodes),
+                &unit.key.id(table),
+                unit.mark,
+                wm.len(),
+            );
+            tallies.observe(
+                unit.key,
+                votes.bit_index,
+                wm.bit(votes.bit_index),
+                &votes.bits,
+            );
+        }
+        tallies
+    }
+
     #[test]
     fn tallies_merge_matches_single_pass() {
         let (d, _queries, wm, key) = setup(100, 2);
-        let b = binding();
         let cfg = config(2);
-        let fctx = ctx(&b, &cfg);
-        let marker = UnitMarker::new(key.clone());
-        let mut whole = ForensicTallies::new();
-        scan_units(&d, fctx, &marker, &wm, &mut whole).unwrap();
+        let whole = scan(&d, &key, &wm, &cfg);
         // Scanning the same doc twice then merging halves must equal the
         // doubled single scan (vote counts add; identities dedupe).
-        let mut a = ForensicTallies::new();
-        scan_units(&d, fctx, &marker, &wm, &mut a).unwrap();
-        let mut b2 = ForensicTallies::new();
-        scan_units(&d, fctx, &marker, &wm, &mut b2).unwrap();
-        a.merge(b2);
+        let mut a = scan(&d, &key, &wm, &cfg);
+        a.merge(scan(&d, &key, &wm, &cfg));
         assert_eq!(a.len(), whole.len());
     }
 

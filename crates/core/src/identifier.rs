@@ -131,24 +131,47 @@ impl UnitKey {
     /// form persisted in safeguarded query files and shown in reports.
     /// Byte-for-byte equal to what [`UnitKey::id`] feeds the PRF.
     pub fn display(&self, table: &SelectionTable) -> String {
+        let mut len = 0;
+        self.id_pieces(table, |piece| len += piece.len());
+        let mut out = String::with_capacity(len);
+        self.display_into(table, &mut out);
+        out
+    }
+
+    /// Appends [`UnitKey::display`]'s text to `out`, so a caller that
+    /// renders many ids can reuse one buffer.
+    pub fn display_into(&self, table: &SelectionTable, out: &mut String) {
+        self.id_pieces(table, |piece| out.push_str(piece));
+    }
+
+    /// Passes the textual id to `put` piece by piece, in order: the one
+    /// spelling of a unit id, shared by the PRF feed and the rendered
+    /// text.
+    fn id_pieces<'a>(&'a self, table: &'a SelectionTable, mut put: impl FnMut(&'a str)) {
         match self.tag {
-            UnitTag::KeyAttr => format!(
-                "key:{}|{}|attr={}",
-                table.resolve(self.name),
-                self.values[0],
-                table.resolve(self.attr.expect("key units carry an attr")),
-            ),
-            UnitTag::SiblingOrder => format!(
-                "ord:{}|{}|attr={}",
-                table.resolve(self.name),
-                self.values[0],
-                table.resolve(self.attr.expect("order units carry an attr")),
-            ),
-            UnitTag::FdGroup => format!(
-                "fd:{}|lhs={}",
-                table.resolve(self.name),
-                self.values.join(LHS_SEPARATOR),
-            ),
+            UnitTag::KeyAttr | UnitTag::SiblingOrder => {
+                put(if self.tag == UnitTag::KeyAttr {
+                    "key:"
+                } else {
+                    "ord:"
+                });
+                put(table.resolve(self.name));
+                put("|");
+                put(&self.values[0]);
+                put("|attr=");
+                put(table.resolve(self.attr.expect("value units carry an attr")));
+            }
+            UnitTag::FdGroup => {
+                put("fd:");
+                put(table.resolve(self.name));
+                put("|lhs=");
+                for (i, value) in self.values.iter().enumerate() {
+                    if i > 0 {
+                        put(LHS_SEPARATOR);
+                    }
+                    put(value);
+                }
+            }
         }
     }
 
@@ -158,11 +181,20 @@ impl UnitKey {
     /// groups (which span records by construction). Rendered only at
     /// report-build time — never on the per-unit vote path.
     pub fn record_scope(&self, table: &SelectionTable) -> String {
+        let mut out = String::new();
+        self.record_scope_into(table, &mut out);
+        out
+    }
+
+    /// Appends [`UnitKey::record_scope`]'s text to `out`.
+    pub fn record_scope_into(&self, table: &SelectionTable, out: &mut String) {
         match self.tag {
             UnitTag::KeyAttr | UnitTag::SiblingOrder => {
-                format!("{}|{}", table.resolve(self.name), self.values[0])
+                out.push_str(table.resolve(self.name));
+                out.push('|');
+                out.push_str(&self.values[0]);
             }
-            UnitTag::FdGroup => self.display(table),
+            UnitTag::FdGroup => self.display_into(table, out),
         }
     }
 }
@@ -176,37 +208,8 @@ pub struct UnitId<'a> {
 
 impl PrfInput for UnitId<'_> {
     fn feed(&self, mac: &mut HmacSha256) {
-        let table = self.table;
-        let key = self.key;
-        match key.tag {
-            UnitTag::KeyAttr | UnitTag::SiblingOrder => {
-                mac.update(if key.tag == UnitTag::KeyAttr {
-                    b"key:"
-                } else {
-                    b"ord:"
-                });
-                mac.update(table.resolve(key.name).as_bytes());
-                mac.update(b"|");
-                mac.update(key.values[0].as_bytes());
-                mac.update(b"|attr=");
-                mac.update(
-                    table
-                        .resolve(key.attr.expect("value units carry an attr"))
-                        .as_bytes(),
-                );
-            }
-            UnitTag::FdGroup => {
-                mac.update(b"fd:");
-                mac.update(table.resolve(key.name).as_bytes());
-                mac.update(b"|lhs=");
-                for (i, value) in key.values.iter().enumerate() {
-                    if i > 0 {
-                        mac.update(LHS_SEPARATOR.as_bytes());
-                    }
-                    mac.update(value.as_bytes());
-                }
-            }
-        }
+        self.key
+            .id_pieces(self.table, |piece| mac.update(piece.as_bytes()));
     }
 }
 

@@ -30,13 +30,13 @@
 use crate::config::EncoderConfig;
 use crate::identifier::{markable_for_fd, MarkKind, MarkUnit, SelectionTable, UnitKey, UnitTag};
 use crate::WmError;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use wmx_rewrite::SchemaBinding;
 use wmx_schema::{discover_groups_with, DataType, Fd};
 use wmx_telemetry::Counter;
-use wmx_xml::{Document, Sym};
+use wmx_xml::{Document, NodeId, Sym};
 use wmx_xpath::{Evaluator, NodeRef, Query};
 
 /// One pre-compiled entity/attribute access: everything a structural or
@@ -214,7 +214,11 @@ impl SelectionPlan {
     /// evaluator (shared symbol memo / scratch buffers).
     pub fn execute_with(&self, evaluator: &Evaluator<'_>) -> Vec<MarkUnit> {
         let mut units = Vec::new();
-        let mut fd_covered: HashSet<NodeRef> = HashSet::new();
+        // Each FD member as (owning node, unit index, member index),
+        // sorted by owner: the markable filter below finds a node's FD
+        // copy by binary search and compares it in place, so no member
+        // is cloned or hashed.
+        let mut fd_covered: Vec<(NodeId, usize, usize)> = Vec::new();
 
         if !self.fds.is_empty() {
             for group in discover_groups_with(evaluator, &self.fds) {
@@ -222,9 +226,14 @@ impl SelectionPlan {
                 // every group has members (instances without the
                 // dependent are skipped).
                 let (sym, data_type) = self.fd_info[group.fd];
-                for n in &group.members {
-                    fd_covered.insert(n.clone());
-                }
+                let unit = units.len();
+                fd_covered.extend(
+                    group
+                        .members
+                        .iter()
+                        .enumerate()
+                        .map(|(member, n)| (owner(n), unit, member)),
+                );
                 units.push(MarkUnit {
                     key: UnitKey {
                         tag: UnitTag::FdGroup,
@@ -236,6 +245,7 @@ impl SelectionPlan {
                     mark: MarkKind::Value(data_type),
                 });
             }
+            fd_covered.sort_unstable();
         }
 
         for access in &self.structural {
@@ -265,11 +275,10 @@ impl SelectionPlan {
                 let Some(key_value) = access.key_of(evaluator, &instance) else {
                     continue;
                 };
-                let nodes: Vec<NodeRef> = access
-                    .attr_nodes(evaluator, &instance)
-                    .into_iter()
-                    .filter(|n| !fd_covered.contains(n))
-                    .collect();
+                let mut nodes = access.attr_nodes(evaluator, &instance);
+                if !fd_covered.is_empty() {
+                    nodes.retain(|n| !is_fd_member(&units, &fd_covered, n));
+                }
                 if nodes.is_empty() {
                     continue;
                 }
@@ -287,6 +296,25 @@ impl SelectionPlan {
         }
         units
     }
+}
+
+/// The node `node` belongs to: itself, or an attribute's element.
+fn owner(node: &NodeRef) -> NodeId {
+    match node {
+        NodeRef::Node(id) => *id,
+        NodeRef::Attribute { element, .. } => *element,
+    }
+}
+
+/// Whether `node` is one of the FD members that `covered` (sorted by
+/// owner, see [`SelectionPlan::execute_with`]) indexes into `units`.
+fn is_fd_member(units: &[MarkUnit], covered: &[(NodeId, usize, usize)], node: &NodeRef) -> bool {
+    let id = owner(node);
+    let start = covered.partition_point(|&(owner, _, _)| owner < id);
+    covered[start..]
+        .iter()
+        .take_while(|&&(owner, _, _)| owner == id)
+        .any(|&(_, unit, member)| units[unit].nodes[member] == *node)
 }
 
 /// Canonical textual description of (binding, fds, config): everything

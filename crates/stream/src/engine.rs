@@ -331,26 +331,27 @@ impl<'a> RecordEngine<'a> {
         for unit in units {
             let Some(keying) = self.keying(&unit.key, scratch) else {
                 if let Some(tallies) = partial.forensics.as_mut() {
-                    tallies.observe_unselected(&unit.key);
+                    tallies.observe_unselected(unit.key);
                 }
                 continue;
             };
             let is_fd = unit.key.tag == UnitTag::FdGroup;
             let votes = keying.extract(&DomNodes::new(&doc, &unit.nodes), unit.mark);
-            if let Some(tallies) = partial.forensics.as_mut() {
-                tallies.observe(
-                    &unit.key,
-                    votes.bit_index,
-                    self.watermark.bit(votes.bit_index),
-                    &votes.bits,
-                );
-            }
             let located = !votes.bits.is_empty();
+            let expected = || self.watermark.bit(votes.bit_index);
             if is_fd {
+                // The tallies and the FD map both keep the key, so only
+                // FD units clone it (in forensic mode).
+                if let Some(tallies) = partial.forensics.as_mut() {
+                    tallies.observe(unit.key.clone(), votes.bit_index, expected(), &votes.bits);
+                }
                 // Map presence = selected FD unit; the flag = located.
                 let entry = partial.fd_entry(unit.key);
                 *entry |= located;
             } else {
+                if let Some(tallies) = partial.forensics.as_mut() {
+                    tallies.observe(unit.key, votes.bit_index, expected(), &votes.bits);
+                }
                 partial.total_local += 1;
                 if located {
                     partial.located_local += 1;

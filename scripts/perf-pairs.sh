@@ -1,27 +1,28 @@
 #!/usr/bin/env bash
 # Paired A/B runs of the benchmark: a parent revision against the working
-# tree, on one workload.
+# tree, on one workload or a comma-separated list of them.
 #
-#   scripts/perf-pairs.sh <parent-rev> <workload> <pairs> [seconds] [first-seed]
+#   scripts/perf-pairs.sh <parent-rev> <workload>[,<workload>...] <pairs> [seconds] [first-seed]
 #
 # Builds perfbench twice under target/perf-pairs/: once from an export of
 # <parent-rev> (git archive, so no worktree is registered and the working
 # tree may be dirty), once from the working tree, each with its own
-# target directory. Then runs <pairs> pairs
+# target directory. Then, for each workload in turn, runs <pairs> pairs
 # of untraced runs, each pair on its own seed (first-seed, first-seed+1,
 # ...; default 101) and alternating which side runs first. Every run must
-# report "correct":true. Prints, per end-to-end metric, each side's median
-# and quartiles, the change/parent ratio of the medians and how many pairs
-# the change won (direction from BENCHMARK.json). Nothing is written under
-# perfbench/; the raw result lines go to target/perf-pairs/<workload>.jsonl.
+# report "correct":true. Prints one table per workload: per end-to-end
+# metric, each side's median and quartiles, the change/parent ratio of
+# the medians and how many pairs the change won (direction from
+# BENCHMARK.json). Nothing is written under perfbench/; the raw result
+# lines go to target/perf-pairs/<workload>.jsonl.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    echo "usage: $0 <parent-rev> <workload> <pairs> [seconds] [first-seed]" >&2
+    echo "usage: $0 <parent-rev> <workload>[,<workload>...] <pairs> [seconds] [first-seed]" >&2
     exit 2
 fi
 rev=$1
-workload=$2
+IFS=, read -r -a workloads <<< "$2"
 pairs=$3
 seconds=${4:-30}
 first_seed=${5:-101}
@@ -49,30 +50,17 @@ build perfbench/Cargo.toml "$out/change-target"
 parent_bin=$out/parent-target/release/wmx-perfbench
 change_bin=$out/change-target/release/wmx-perfbench
 
-runs=$out/$workload.jsonl
-: > "$runs"
-run() { # <side> <binary> <seed>
+run() { # <workload> <runs-file> <side> <binary> <seed>
     local line
-    line=$("$2" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)
+    line=$("$4" --workload "$1" --seed "$5" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)
     case $line in
         *'"correct":true'*) ;;
-        *) echo "$1 run on seed $3 failed its checks: $line" >&2; exit 1 ;;
+        *) echo "$1: $3 run on seed $5 failed its checks: $line" >&2; exit 1 ;;
     esac
-    printf '{"side":"%s","seed":%s,"result":%s}\n' "$1" "$3" "$line" >> "$runs"
+    printf '{"side":"%s","seed":%s,"result":%s}\n' "$3" "$5" "$line" >> "$2"
 }
-for i in $(seq 0 $((pairs - 1))); do
-    seed=$((first_seed + i))
-    if [ $((i % 2)) -eq 0 ]; then
-        run parent "$parent_bin" "$seed"
-        run change "$change_bin" "$seed"
-    else
-        run change "$change_bin" "$seed"
-        run parent "$parent_bin" "$seed"
-    fi
-    echo "pair $((i + 1))/$pairs done (seed $seed)" >&2
-done
-
-python3 - "$runs" BENCHMARK.json "$rev" "$workload" <<'PY'
+table() { # <workload> <runs-file>
+python3 - "$2" BENCHMARK.json "$rev" "$1" <<'PY'
 import json, statistics, sys
 
 runs_path, bench_path, rev, workload = sys.argv[1:5]
@@ -110,3 +98,20 @@ for name in sorted(by_side["parent"]):
     print(f"{name:<22} {pm:>13.4g} {f'[{p1:.4g}, {p3:.4g}]':>22} {cm:>13.4g} "
           f"{f'[{c1:.4g}, {c3:.4g}]':>22} {ratio:>6.3f} {wins:>5}")
 PY
+}
+for workload in "${workloads[@]}"; do
+    runs=$out/$workload.jsonl
+    : > "$runs"
+    for i in $(seq 0 $((pairs - 1))); do
+        seed=$((first_seed + i))
+        if [ $((i % 2)) -eq 0 ]; then
+            run "$workload" "$runs" parent "$parent_bin" "$seed"
+            run "$workload" "$runs" change "$change_bin" "$seed"
+        else
+            run "$workload" "$runs" change "$change_bin" "$seed"
+            run "$workload" "$runs" parent "$parent_bin" "$seed"
+        fi
+        echo "$workload: pair $((i + 1))/$pairs done (seed $seed)" >&2
+    done
+    table "$workload" "$runs"
+done
